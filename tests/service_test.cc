@@ -860,5 +860,515 @@ TEST(ServiceSlowRequestTest, HookFiresWithTheRequestShape) {
   EXPECT_TRUE(quiet_calls.empty());
 }
 
+// ---- golden service transcript ----
+//
+// One fixed request script runs through HandleRequest on a writer and on
+// a replica, and every response is pinned by its 64-bit FNV-1a digest:
+// any change to how the server routes a request to a sketch (or to what
+// it answers when it cannot) shows up as a digest mismatch. STATS bodies
+// carry two process-global trace counters that depend on what else ran in
+// this process; they are zeroed before hashing. METRICS and TRACE answer
+// with timings, so only their status is pinned.
+
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+class Transcript {
+ public:
+  explicit Transcript(SketchServer* server) : server_(server) {}
+
+  // Sends one request, records the digest of its response under `label`,
+  // and returns the response.
+  std::string Send(const std::string& label, const std::string& request) {
+    std::string response = server_->HandleRequest(request);
+    wire::VarintReader reader(response);
+    ResponseHeader header;
+    StatsResponse stats;
+    std::string hashed = response;
+    if (DecodeResponseHeader(reader, &header) &&
+        header.status == Status::kOk) {
+      if (header.opcode == Opcode::kStats &&
+          DecodeStatsResponse(reader, &stats)) {
+        stats.traces_captured_total = 0;
+        stats.flight_recorder_dropped_total = 0;
+        hashed = EncodeStatsResponse(header.request_id, stats);
+      } else if (header.opcode == Opcode::kMetrics ||
+                 header.opcode == Opcode::kTrace) {
+        hashed = EncodeErrorResponse(header.opcode, header.request_id,
+                                     header.status);
+      }
+    }
+    entries_.push_back({label, Fnv1a64(hashed)});
+    return response;
+  }
+
+  uint64_t NextId() { return ++id_; }
+
+  // Compares against `pinned`; on mismatch, prints the table this run
+  // produced in the form the pin uses.
+  void Expect(const std::vector<uint64_t>& pinned) const {
+    bool same = pinned.size() == entries_.size();
+    for (size_t i = 0; same && i < pinned.size(); ++i) {
+      same = pinned[i] == entries_[i].digest;
+    }
+    if (same) return;
+    std::string table;
+    char line[128];
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      const bool differs =
+          i >= pinned.size() || pinned[i] != entries_[i].digest;
+      std::snprintf(line, sizeof line, "      0x%016llxull,  // %s%s\n",
+                    static_cast<unsigned long long>(entries_[i].digest),
+                    entries_[i].label.c_str(), differs ? "  <-- differs" : "");
+      table += line;
+    }
+    ADD_FAILURE() << "transcript digests differ (" << entries_.size()
+                  << " responses, " << pinned.size() << " pinned):\n"
+                  << table;
+  }
+
+ private:
+  struct Entry {
+    std::string label;
+    uint64_t digest;
+  };
+  SketchServer* server_;
+  uint64_t id_ = 0;
+  std::vector<Entry> entries_;
+};
+
+SketchServerOptions TranscriptOptions() {
+  SketchServerOptions options;
+  options.shard.num_shards = 2;
+  options.shard.shard_capacity = 256;
+  options.shard.queue_capacity = 4096;
+  options.shard.seed = 41;
+  options.merged_capacity = 384;
+  options.window.window_epochs = 8;
+  options.window.epoch_capacity = 128;
+  options.seed = 43;
+  return options;
+}
+
+// 3000 items over three dimensions (10, 7 and 3 values); ids past the
+// table reach the sketches too and match only unfiltered queries.
+AttributeTable TranscriptAttributes() {
+  AttributeTable attrs(3);
+  for (uint32_t i = 0; i < 3000; ++i) {
+    attrs.AddItem({i % 10, (i / 10) % 7, i % 3});
+  }
+  return attrs;
+}
+
+// Skewed item ids: small ids dominate, a few land past the table.
+std::vector<uint64_t> TranscriptRows(Rng& rng, size_t n) {
+  std::vector<uint64_t> rows(n);
+  for (uint64_t& row : rows) row = rng.NextBounded(1 + rng.NextBounded(3200));
+  return rows;
+}
+
+std::string IngestRequest(Transcript& t, std::vector<uint64_t> items,
+                          std::vector<double> weights = {},
+                          bool windowed = false, uint64_t epoch = 0) {
+  IngestBatchRequest req;
+  req.items = std::move(items);
+  req.weights = std::move(weights);
+  req.windowed = windowed;
+  req.epoch = epoch;
+  return EncodeIngestBatchRequest(t.NextId(), req);
+}
+
+std::string SumRequest(Transcript& t, QueryScope scope, uint64_t last_k = 0,
+                       PredicateSpec where = PredicateSpec()) {
+  QuerySumRequest req;
+  req.scope = scope;
+  req.last_k = last_k;
+  req.where = std::move(where);
+  return EncodeQuerySumRequest(t.NextId(), req);
+}
+
+std::string TopKRequest(Transcript& t, QueryScope scope, uint64_t k,
+                        uint64_t last_k = 0) {
+  QueryTopKRequest req;
+  req.scope = scope;
+  req.k = k;
+  req.last_k = last_k;
+  return EncodeQueryTopKRequest(t.NextId(), req);
+}
+
+std::string GroupByRequest(Transcript& t, uint64_t dim1, bool has_dim2 = false,
+                           uint64_t dim2 = 0,
+                           PredicateSpec where = PredicateSpec()) {
+  QueryGroupByRequest req;
+  req.dim1 = dim1;
+  req.has_dim2 = has_dim2;
+  req.dim2 = dim2;
+  req.where = std::move(where);
+  return EncodeQueryGroupByRequest(t.NextId(), req);
+}
+
+std::string SnapshotRequestFor(Transcript& t, QueryScope scope, bool frozen) {
+  SnapshotRequest req;
+  req.scope = scope;
+  req.frozen = frozen;
+  return EncodeSnapshotRequest(t.NextId(), req);
+}
+
+std::string RestoreRequestFor(Transcript& t, QueryScope scope,
+                              std::string blob) {
+  RestoreRequest req;
+  req.scope = scope;
+  req.blob = std::move(blob);
+  return EncodeRestoreRequest(t.NextId(), req);
+}
+
+// The blob of a SNAPSHOT response (empty when it was refused).
+std::string SnapshotBlob(const std::string& response) {
+  wire::VarintReader reader(response);
+  ResponseHeader header;
+  SnapshotResponse rsp;
+  if (!DecodeResponseHeader(reader, &header) ||
+      header.status != Status::kOk || !DecodeSnapshotResponse(reader, &rsp)) {
+    return "";
+  }
+  return rsp.blob;
+}
+
+constexpr QueryScope kAllScopes[] = {QueryScope::kCounts,
+                                     QueryScope::kWeighted,
+                                     QueryScope::kWindow};
+
+const char* ScopeLabel(QueryScope scope) {
+  static const char* const kLabels[] = {"counts", "weighted", "window"};
+  return kLabels[static_cast<size_t>(scope)];
+}
+
+// Every query and snapshot opcode on every scope, for a server that may
+// or may not hold rows there.
+void QueryEveryScope(Transcript& t, const std::string& tag) {
+  for (QueryScope scope : kAllScopes) {
+    const std::string s = tag + " " + ScopeLabel(scope);
+    t.Send(s + " SUM", SumRequest(t, scope));
+    t.Send(s + " SUM dim0=3", SumRequest(t, scope, 0,
+                                         PredicateSpec().WhereEq(0, 3)));
+    t.Send(s + " TOPK 10", TopKRequest(t, scope, 10));
+    t.Send(s + " SNAPSHOT", SnapshotRequestFor(t, scope, false));
+    t.Send(s + " SNAPSHOT frozen", SnapshotRequestFor(t, scope, true));
+  }
+  t.Send(tag + " GROUPBY dim1", GroupByRequest(t, 1));
+  t.Send(tag + " STATS", EncodeStatsRequest(t.NextId()));
+}
+
+TEST(ServiceGoldenTranscriptTest, WriterAnswersArePinned) {
+  const AttributeTable attrs = TranscriptAttributes();
+  SketchServer server(TranscriptOptions(), &attrs);
+  Transcript t(&server);
+  Rng rng(2024);
+
+  // Nothing ingested yet: every scope answers from its empty state.
+  QueryEveryScope(t, "fresh");
+
+  // Counts rows, three batches.
+  for (int b = 0; b < 3; ++b) {
+    t.Send("INGEST counts", IngestRequest(t, TranscriptRows(rng, 4000)));
+  }
+  // Weighted rows, two batches.
+  for (int b = 0; b < 2; ++b) {
+    std::vector<uint64_t> items = TranscriptRows(rng, 1500);
+    std::vector<double> weights;
+    for (uint64_t item : items) weights.push_back(0.25 + (item % 17) * 1.5);
+    t.Send("INGEST weighted", IngestRequest(t, items, weights));
+  }
+  // Windowed rows over twelve epochs (the ring holds eight), then an
+  // empty batch that only advances the clock, then one more epoch.
+  for (uint64_t epoch = 0; epoch < 12; ++epoch) {
+    t.Send("INGEST window",
+           IngestRequest(t, TranscriptRows(rng, 900), {}, true, epoch));
+  }
+  t.Send("INGEST window empty advance", IngestRequest(t, {}, {}, true, 14));
+  t.Send("INGEST window", IngestRequest(t, TranscriptRows(rng, 700), {}, true,
+                                        14));
+
+  const PredicateSpec filters[] = {
+      PredicateSpec(), PredicateSpec().WhereEq(0, 3),
+      PredicateSpec().WhereIn(1, {0, 2, 5}),
+      PredicateSpec().WhereEq(2, 1).WhereIn(0, {1, 4, 7, 9})};
+  for (QueryScope scope : kAllScopes) {
+    for (size_t f = 0; f < std::size(filters); ++f) {
+      for (uint64_t last_k : {0, 1, 8}) {
+        if (scope != QueryScope::kWindow && last_k != 0) continue;
+        t.Send(std::string("SUM ") + ScopeLabel(scope) + " filter " +
+                   std::to_string(f) + " last_k " + std::to_string(last_k),
+               SumRequest(t, scope, last_k, filters[f]));
+      }
+    }
+    for (uint64_t k : {1, 10, 100}) {
+      t.Send(std::string("TOPK ") + ScopeLabel(scope) + " k " +
+                 std::to_string(k),
+             TopKRequest(t, scope, k));
+    }
+  }
+  t.Send("TOPK window k 10 last_k 1",
+         TopKRequest(t, QueryScope::kWindow, 10, 1));
+  t.Send("TOPK window k 10 last_k 8",
+         TopKRequest(t, QueryScope::kWindow, 10, 8));
+  t.Send("GROUPBY dim0", GroupByRequest(t, 0));
+  t.Send("GROUPBY dim2 where dim1 in {1,3}",
+         GroupByRequest(t, 2, false, 0, PredicateSpec().WhereIn(1, {1, 3})));
+  t.Send("GROUPBY dim0 x dim1", GroupByRequest(t, 0, true, 1));
+  t.Send("GROUPBY dim1 x dim2 where dim0=4",
+         GroupByRequest(t, 1, true, 2, PredicateSpec().WhereEq(0, 4)));
+  t.Send("GROUPBY bad dim", GroupByRequest(t, 3));
+  t.Send("SUM bad predicate dim",
+         SumRequest(t, QueryScope::kCounts, 0, PredicateSpec().WhereEq(5, 1)));
+  t.Send("STATS after ingest", EncodeStatsRequest(t.NextId()));
+
+  // Snapshots of every scope, including the frozen refusal outside the
+  // counts scope.
+  const std::string counts_blob = SnapshotBlob(t.Send(
+      "SNAPSHOT counts", SnapshotRequestFor(t, QueryScope::kCounts, false)));
+  const std::string frozen_blob = SnapshotBlob(t.Send(
+      "SNAPSHOT counts frozen",
+      SnapshotRequestFor(t, QueryScope::kCounts, true)));
+  const std::string weighted_blob = SnapshotBlob(
+      t.Send("SNAPSHOT weighted",
+             SnapshotRequestFor(t, QueryScope::kWeighted, false)));
+  t.Send("SNAPSHOT weighted frozen",
+         SnapshotRequestFor(t, QueryScope::kWeighted, true));
+  const std::string window_blob = SnapshotBlob(t.Send(
+      "SNAPSHOT window", SnapshotRequestFor(t, QueryScope::kWindow, false)));
+  t.Send("SNAPSHOT window frozen",
+         SnapshotRequestFor(t, QueryScope::kWindow, true));
+  ASSERT_FALSE(counts_blob.empty());
+  ASSERT_FALSE(frozen_blob.empty());
+  ASSERT_FALSE(weighted_blob.empty());
+  ASSERT_FALSE(window_blob.empty());
+  t.Send("STATS after snapshots", EncodeStatsRequest(t.NextId()));
+
+  // Restores: every scope's own blob, the frozen image into counts, and
+  // bytes that decode as no sketch at all.
+  t.Send("RESTORE counts",
+         RestoreRequestFor(t, QueryScope::kCounts, counts_blob));
+  t.Send("RESTORE counts frozen",
+         RestoreRequestFor(t, QueryScope::kCounts, frozen_blob));
+  t.Send("RESTORE weighted",
+         RestoreRequestFor(t, QueryScope::kWeighted, weighted_blob));
+  t.Send("RESTORE window",
+         RestoreRequestFor(t, QueryScope::kWindow, window_blob));
+  for (QueryScope scope : kAllScopes) {
+    t.Send(std::string("RESTORE bad ") + ScopeLabel(scope),
+           RestoreRequestFor(t, scope, "not a sketch"));
+  }
+  t.Send("STATS after restores", EncodeStatsRequest(t.NextId()));
+  QueryEveryScope(t, "restored");
+  t.Send("SUM window last_k 1 restored",
+         SumRequest(t, QueryScope::kWindow, 1));
+
+  MetricsRequest metrics;
+  t.Send("METRICS", EncodeMetricsRequest(t.NextId(), metrics));
+  TraceRequest trace;
+  t.Send("TRACE", EncodeTraceRequest(t.NextId(), trace));
+  t.Send("SHUTDOWN", EncodeShutdownRequest(t.NextId()));
+
+  t.Expect({
+      0x805aa48fc372d06dull,  // fresh counts SUM
+      0x082a1f970806bc2cull,  // fresh counts SUM dim0=3
+      0x4efc5d8352088ddaull,  // fresh counts TOPK 10
+      0x4be3c72514d29a4bull,  // fresh counts SNAPSHOT
+      0xa55f355787c93c3full,  // fresh counts SNAPSHOT frozen
+      0xbd3ec3a0b8cbf680ull,  // fresh weighted SUM
+      0x8ff99a9e4c9aa7ebull,  // fresh weighted SUM dim0=3
+      0xaf28eb384a220998ull,  // fresh weighted TOPK 10
+      0xd7d236268e82fc04ull,  // fresh weighted SNAPSHOT
+      0x586d8256072c79c4ull,  // fresh weighted SNAPSHOT frozen
+      0x70bbae813a4af8efull,  // fresh window SUM
+      0xf88b29887edee4aeull,  // fresh window SUM dim0=3
+      0x8f2321514ccbe8c6ull,  // fresh window TOPK 10
+      0x08ea68b72dbb9e4bull,  // fresh window SNAPSHOT
+      0x585c8a56071e1429ull,  // fresh window SNAPSHOT frozen
+      0xafd4402659f5b254ull,  // fresh GROUPBY dim1
+      0xab3527bec60ce47cull,  // fresh STATS
+      0x53e41b8fef9ecffcull,  // INGEST counts
+      0xb4c305879a22030dull,  // INGEST counts
+      0x149d9fc1f599fed6ull,  // INGEST counts
+      0x74e6ddb99f9de9afull,  // INGEST weighted
+      0xd5229fb149967778ull,  // INGEST weighted
+      0x379945a8f57403c5ull,  // INGEST window
+      0x94291fe34e200b06ull,  // INGEST window
+      0xf79479dafacd81a7ull,  // INGEST window
+      0x5799c3d2a497b418ull,  // INGEST window
+      0xb79f1dca4e6201b9ull,  // INGEST window
+      0x175ea804a9c31a9aull,  // INGEST window
+      0x73fdf1fc50aa240bull,  // INGEST window
+      0xd4034bf3fa7471acull,  // INGEST window
+      0x3408a5eba43ebf4dull,  // INGEST window
+      0x93540130c68581aeull,  // INGEST window
+      0xf3595b28704fcf4full,  // INGEST window
+      0x535ea5201a1a01c0ull,  // INGEST window
+      0x407f7b0d971c6b50ull,  // INGEST window empty advance
+      0x13ab77521fb8e344ull,  // INGEST window
+      0x92d15ef8f4bb1bb6ull,  // SUM counts filter 0 last_k 0
+      0x7a4abd030736b7d9ull,  // SUM counts filter 1 last_k 0
+      0x37782db310b65f7eull,  // SUM counts filter 2 last_k 0
+      0x405fc13af2cbb8d0ull,  // SUM counts filter 3 last_k 0
+      0x1299127bd03de9baull,  // TOPK counts k 1
+      0xe870970041ebbb5cull,  // TOPK counts k 10
+      0x898fd0be1f621e14ull,  // TOPK counts k 100
+      0xbf9b211cc48b64eaull,  // SUM weighted filter 0 last_k 0
+      0xa740d45a6945e9f1ull,  // SUM weighted filter 1 last_k 0
+      0xeeb73586f3e7c341ull,  // SUM weighted filter 2 last_k 0
+      0x4e46cc6d47388fbeull,  // SUM weighted filter 3 last_k 0
+      0x1be734384f14779aull,  // TOPK weighted k 1
+      0xe4b03595551ea03dull,  // TOPK weighted k 10
+      0x6deaa2fe53acb10aull,  // TOPK weighted k 100
+      0xb51b6a0996baab20ull,  // SUM window filter 0 last_k 0
+      0x1d946979fb8b9df4ull,  // SUM window filter 0 last_k 1
+      0x852a8792dfde34f2ull,  // SUM window filter 0 last_k 8
+      0x47437296892e8134ull,  // SUM window filter 1 last_k 0
+      0xb8150c945d239ee1ull,  // SUM window filter 1 last_k 1
+      0xd261f88392a249f6ull,  // SUM window filter 1 last_k 8
+      0xa6bce64b4c3cc7f7ull,  // SUM window filter 2 last_k 0
+      0xc3bb7d89e06ba7f7ull,  // SUM window filter 2 last_k 1
+      0x4fe63642b8212779ull,  // SUM window filter 2 last_k 8
+      0x272551001defbc19ull,  // SUM window filter 3 last_k 0
+      0x66fbeb9083627131ull,  // SUM window filter 3 last_k 1
+      0x29ac1511f52cc243ull,  // SUM window filter 3 last_k 8
+      0x34ca8d6dd8665f33ull,  // TOPK window k 1
+      0xb43014a5da33c1aaull,  // TOPK window k 10
+      0xf31bb520effa452aull,  // TOPK window k 100
+      0xb3fdd954ade27732ull,  // TOPK window k 10 last_k 1
+      0xe764be62f4d5b487ull,  // TOPK window k 10 last_k 8
+      0x4fba0dfcd2fd970aull,  // GROUPBY dim0
+      0x361e2fcd147afc5bull,  // GROUPBY dim2 where dim1 in {1,3}
+      0xa390102215ac4904ull,  // GROUPBY dim0 x dim1
+      0x8b8c1ebb94d45e7eull,  // GROUPBY dim1 x dim2 where dim0=4
+      0x4ef1575601917df7ull,  // GROUPBY bad dim
+      0x3f8b2555f9642774ull,  // SUM bad predicate dim
+      0x5bfe9b5c09b02b77ull,  // STATS after ingest
+      0x9eefd2c725218aa4ull,  // SNAPSHOT counts
+      0x4b1e0a011079654dull,  // SNAPSHOT counts frozen
+      0xfeb0c9949c6400b2ull,  // SNAPSHOT weighted
+      0x59396a5607d9b760ull,  // SNAPSHOT weighted frozen
+      0x4fe9a6a077e94db3ull,  // SNAPSHOT window
+      0x5932a25607d3f7daull,  // SNAPSHOT window frozen
+      0x592199e5fea5bbdaull,  // STATS after snapshots
+      0x9ee883352591afb3ull,  // RESTORE counts
+      0xa791ff352a79b011ull,  // RESTORE counts frozen
+      0xd2e165354301a7b5ull,  // RESTORE weighted
+      0xdb8ade3547e9a2faull,  // RESTORE window
+      0x602fe5560b50218bull,  // RESTORE bad counts
+      0x603349560b53014eull,  // RESTORE bad weighted
+      0x604449560b617481ull,  // RESTORE bad window
+      0xce78944a0b5fe94aull,  // STATS after restores
+      0xb04c93464b6b6693ull,  // restored counts SUM
+      0x827f525257ed8b1full,  // restored counts SUM dim0=3
+      0xa6641d05871e63f4ull,  // restored counts TOPK 10
+      0x28016ca27040fcd7ull,  // restored counts SNAPSHOT
+      0x244f712d9150702cull,  // restored counts SNAPSHOT frozen
+      0x1fafa9124b5c136eull,  // restored weighted SUM
+      0x532ee7da6a27d484ull,  // restored weighted SUM dim0=3
+      0x383ac1074bf096eeull,  // restored weighted TOPK 10
+      0xeb5bdc2a3a727889ull,  // restored weighted SNAPSHOT
+      0x59cb92560855e975ull,  // restored weighted SNAPSHOT frozen
+      0x9ac38fe72cff7081ull,  // restored window SUM
+      0x68effbcf8d33c5abull,  // restored window SUM dim0=3
+      0x6cc2430ad1aeaf0dull,  // restored window TOPK 10
+      0x44e12c0983904159ull,  // restored window SNAPSHOT
+      0x59ba925608477642ull,  // restored window SNAPSHOT frozen
+      0xb27d2bbe62054db4ull,  // restored GROUPBY dim1
+      0x701bbc3e5d1c56a2ull,  // restored STATS
+      0xabc3f6917c4935ebull,  // SUM window last_k 1 restored
+      0x79e1955619c89d1full,  // METRICS
+      0x84ffc65620c6c46bull,  // TRACE
+      0x72f1e6561657f946ull,  // SHUTDOWN
+  });
+}
+
+TEST(ServiceGoldenTranscriptTest, ReplicaAnswersArePinned) {
+  const AttributeTable attrs = TranscriptAttributes();
+  Rng rng(7);
+  UnbiasedSpaceSaving sketch(300, 9);
+  for (uint64_t row : TranscriptRows(rng, 20000)) sketch.Update(row);
+  const std::string image_bytes = SerializeFrozen(sketch);
+  std::optional<FrozenSketchSource> image =
+      FrozenSketchSource::FromBlob(image_bytes);
+  ASSERT_TRUE(image.has_value());
+  SketchServer server(TranscriptOptions(), &*image, &attrs);
+  Transcript t(&server);
+
+  // Every opcode on every scope: the image answers counts-scope reads,
+  // everything else is refused.
+  t.Send("INGEST counts", IngestRequest(t, {1, 2, 3}));
+  t.Send("INGEST weighted", IngestRequest(t, {1, 2}, {0.5, 1.5}));
+  t.Send("INGEST window", IngestRequest(t, {1, 2}, {}, true, 3));
+  for (QueryScope scope : kAllScopes) {
+    const std::string s = ScopeLabel(scope);
+    t.Send("SUM " + s, SumRequest(t, scope));
+    t.Send("SUM " + s + " dim1 in {2,6}",
+           SumRequest(t, scope, 0, PredicateSpec().WhereIn(1, {2, 6})));
+    t.Send("SUM " + s + " last_k 1", SumRequest(t, scope, 1));
+    t.Send("TOPK " + s + " k 1", TopKRequest(t, scope, 1));
+    t.Send("TOPK " + s + " k 100", TopKRequest(t, scope, 100));
+    t.Send("SNAPSHOT " + s, SnapshotRequestFor(t, scope, false));
+    t.Send("SNAPSHOT " + s + " frozen", SnapshotRequestFor(t, scope, true));
+    t.Send("RESTORE " + s, RestoreRequestFor(t, scope, image_bytes));
+  }
+  t.Send("GROUPBY dim0", GroupByRequest(t, 0));
+  t.Send("GROUPBY dim0 x dim2 where dim1=3",
+         GroupByRequest(t, 0, true, 2, PredicateSpec().WhereEq(1, 3)));
+  t.Send("SUM bad predicate dim",
+         SumRequest(t, QueryScope::kCounts, 0, PredicateSpec().WhereEq(5, 1)));
+  t.Send("STATS", EncodeStatsRequest(t.NextId()));
+  MetricsRequest metrics;
+  t.Send("METRICS", EncodeMetricsRequest(t.NextId(), metrics));
+  TraceRequest trace;
+  trace.scope = TraceScope::kFlight;
+  t.Send("TRACE flight", EncodeTraceRequest(t.NextId(), trace));
+  t.Send("SHUTDOWN", EncodeShutdownRequest(t.NextId()));
+
+  t.Expect({
+      0x35e62e55f3a67eefull,  // INGEST counts
+      0x35e2c655f3a39860ull,  // INGEST weighted
+      0x35df6655f3a0bf69ull,  // INGEST window
+      0x8cbfcbc1ff424233ull,  // SUM counts
+      0x934711d872482ef0ull,  // SUM counts dim1 in {2,6}
+      0x91f47ba94000ea65ull,  // SUM counts last_k 1
+      0xb56f59a29186db28ull,  // TOPK counts k 1
+      0x507ac7f9f28545baull,  // TOPK counts k 100
+      0xaf3c095e373a6613ull,  // SNAPSHOT counts
+      0xbd1e08df7ff5243cull,  // SNAPSHOT counts frozen
+      0x6150c3560c458e28ull,  // RESTORE counts
+      0x3ea0a755f89ced67ull,  // SUM weighted
+      0x3ea40f55f89fd3f6ull,  // SUM weighted dim1 in {2,6}
+      0x3e99df55f8972de1ull,  // SUM weighted last_k 1
+      0x47325855fd70b5f3ull,  // TOPK weighted k 1
+      0x47062855fd4b2978ull,  // TOPK weighted k 100
+      0x5855ba560718470bull,  // SNAPSHOT weighted
+      0x585252560715607cull,  // SNAPSHOT weighted frozen
+      0x60ff33560c004250ull,  // RESTORE weighted
+      0x3ebbd755f8b406afull,  // SUM window
+      0x3ebf3f55f8b6ed3eull,  // SUM window dim1 in {2,6}
+      0x3eb50f55f8ae4729ull,  // SUM window last_k 1
+      0x47172855fd599cabull,  // TOPK window k 1
+      0x46eaf855fd341030ull,  // TOPK window k 100
+      0x583a8a5607012dc3ull,  // SNAPSHOT window
+      0x5837225606fe4734ull,  // SNAPSHOT window frozen
+      0x611a63560c175b98ull,  // RESTORE window
+      0x49f61103e6fab063ull,  // GROUPBY dim0
+      0xfe6e739b3b44de85ull,  // GROUPBY dim0 x dim2 where dim1=3
+      0x3ed03d55f8c55d0bull,  // SUM bad predicate dim
+      0x22445fd10e3b6d83ull,  // STATS
+      0x7ac8ad561a8cf403ull,  // METRICS
+      0x844f0e562030a017ull,  // TRACE flight
+      0x7225fe5615aabbaaull,  // SHUTDOWN
+  });
+}
+
 }  // namespace
 }  // namespace dsketch
