@@ -29,6 +29,8 @@
 //   QUERY_GROUPBY req: [varint dim1][u8 has_dim2][varint dim2][predicate]
 //                 rsp: [varint n] then per group [varint key][f64 estimate]
 //                      [f64 variance][varint items_in_sample]
+//                 The request carries no scope byte: a group-by always
+//                 addresses the counts scope.
 //   SNAPSHOT      req: [u8 scope | kSnapshotFrozenFlag (0x80)]
 //                 rsp: [varint n_bytes][sketch wire blob]
 //                 The high bit of the scope byte asks for the frozen
@@ -130,6 +132,10 @@ enum class Status : uint8_t {
   kTooLarge = 4,       ///< caps exceeded (batch rows, k, blob size)
   kBadState = 5,       ///< e.g. RESTORE of malformed sketch bytes
 };
+
+/// Number of Status values (the size of per-status counter tables).
+inline constexpr size_t kNumStatuses =
+    static_cast<size_t>(Status::kBadState) + 1;
 
 /// Which sketch a query, snapshot, or restore addresses.
 enum class QueryScope : uint8_t {

@@ -5,18 +5,14 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <utility>
-#include <vector>
+#include <numeric>
 
-#include "core/frequent_items.h"
-#include "core/serialization.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/frame.h"
 #include "util/flat_map.h"
 #include "util/logging.h"
 #include "util/mmap_array.h"
-#include "util/span.h"
 #include "wire/codec.h"
 #include "wire/frozen.h"
 
@@ -24,13 +20,7 @@ namespace dsketch {
 
 namespace {
 
-// Seed offsets separating the weighted and windowed fleets' randomness
-// from the unit fleet's (all derive from options.shard.seed).
-constexpr uint64_t kWeightedSeedOffset = 7777;
-constexpr uint64_t kWindowSeedOffset = 8888;
-
-// Classifies a restore blob for the STATS counters by its wire envelope
-// (kind 8 = the frozen image; everything else is a stream encoding).
+// A restore blob's STATS format: kind 8 (the frozen image) or a stream.
 SnapshotFormat BlobSnapshotFormat(std::string_view blob) {
   wire::VarintReader reader(blob);
   std::optional<wire::Envelope> env = wire::ReadEnvelope(reader);
@@ -39,9 +29,8 @@ SnapshotFormat BlobSnapshotFormat(std::string_view blob) {
              : SnapshotFormat::kStream;
 }
 
-// Per-opcode telemetry handles, indexed by opcode value (0 = requests
-// whose header never decoded or whose opcode is unknown). Registered
-// once; the serve path only touches relaxed atomics.
+// Per-opcode series are indexed by opcode value (0 = requests whose
+// header never decoded or whose opcode is unknown).
 constexpr size_t kOpcodeSlots = static_cast<size_t>(Opcode::kTrace) + 1;
 
 constexpr const char* kOpcodeNames[kOpcodeSlots] = {
@@ -49,169 +38,123 @@ constexpr const char* kOpcodeNames[kOpcodeSlots] = {
     "snapshot", "restore",      "stats",     "shutdown",   "metrics",
     "trace"};
 
+constexpr const char* kStatusNames[kNumStatuses] = {
+    "ok", "malformed", "unknown_opcode", "unsupported", "too_large",
+    "bad_state"};
+
 size_t OpcodeIndex(Opcode opcode) {
   const uint8_t v = static_cast<uint8_t>(opcode);
   return v < kOpcodeSlots ? v : 0;
 }
 
-obs::Counter& RequestCounter(size_t op_index) {
-  static std::array<obs::Counter*, kOpcodeSlots>* counters = [] {
-    auto* out = new std::array<obs::Counter*, kOpcodeSlots>;
+// The service's telemetry handles, registered once (by the first server
+// built); the serve path only touches relaxed atomics.
+struct ServiceMetrics {
+  std::array<obs::Counter*, kOpcodeSlots> requests;
+  std::array<obs::Histogram*, kOpcodeSlots> latency_us;
+  std::array<obs::Counter*, kNumStatuses> errors;
+  obs::Counter* slow_requests;
+  obs::Counter* frame_bytes_in;
+  obs::Counter* frame_bytes_out;
+  obs::Counter* timer_ticks;
+  obs::Counter* timer_catchup_ticks;
+};
+
+const ServiceMetrics& Metrics() {
+  static const ServiceMetrics* metrics = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    auto* m = new ServiceMetrics;
     for (size_t i = 0; i < kOpcodeSlots; ++i) {
-      (*out)[i] = &obs::MetricsRegistry::Global().GetCounter(
-          std::string("dsketch_service_requests_total{opcode=\"") +
-          kOpcodeNames[i] + "\"}");
+      const std::string label =
+          std::string("{opcode=\"") + kOpcodeNames[i] + "\"}";
+      m->requests[i] =
+          &registry.GetCounter("dsketch_service_requests_total" + label);
+      m->latency_us[i] =
+          &registry.GetHistogram("dsketch_service_request_latency_us" + label);
     }
-    return out;
-  }();
-  return *(*counters)[op_index];
-}
-
-obs::Histogram& LatencyHistogram(size_t op_index) {
-  static std::array<obs::Histogram*, kOpcodeSlots>* hists = [] {
-    auto* out = new std::array<obs::Histogram*, kOpcodeSlots>;
-    for (size_t i = 0; i < kOpcodeSlots; ++i) {
-      (*out)[i] = &obs::MetricsRegistry::Global().GetHistogram(
-          std::string("dsketch_service_request_latency_us{opcode=\"") +
-          kOpcodeNames[i] + "\"}");
-    }
-    return out;
-  }();
-  return *(*hists)[op_index];
-}
-
-const char* StatusName(Status status) {
-  switch (status) {
-    case Status::kOk:
-      return "ok";
-    case Status::kMalformed:
-      return "malformed";
-    case Status::kUnknownOpcode:
-      return "unknown_opcode";
-    case Status::kUnsupported:
-      return "unsupported";
-    case Status::kTooLarge:
-      return "too_large";
-    case Status::kBadState:
-      return "bad_state";
-  }
-  return "unknown";
-}
-
-obs::Counter& ErrorCounter(Status status) {
-  static std::array<obs::Counter*, 6>* counters = [] {
-    auto* out = new std::array<obs::Counter*, 6>;
-    for (size_t i = 0; i < out->size(); ++i) {
-      (*out)[i] = &obs::MetricsRegistry::Global().GetCounter(
+    for (size_t i = 0; i < kNumStatuses; ++i) {
+      m->errors[i] = &registry.GetCounter(
           std::string("dsketch_service_request_errors_total{status=\"") +
-          StatusName(static_cast<Status>(i)) + "\"}");
+          kStatusNames[i] + "\"}");
     }
-    return out;
-  }();
-  const size_t i = static_cast<size_t>(status);
-  return *(*counters)[i < counters->size() ? i : 0];
-}
-
-obs::Counter& SlowRequestCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "dsketch_service_slow_requests_total");
-  return counter;
-}
-
-obs::Counter& FrameBytesCounter(bool in) {
-  static obs::Counter& bytes_in = obs::MetricsRegistry::Global().GetCounter(
-      "dsketch_service_frame_bytes_total{dir=\"in\"}");
-  static obs::Counter& bytes_out = obs::MetricsRegistry::Global().GetCounter(
-      "dsketch_service_frame_bytes_total{dir=\"out\"}");
-  return in ? bytes_in : bytes_out;
-}
-
-obs::Counter& TimerTickCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "dsketch_window_timer_ticks_total");
-  return counter;
-}
-
-obs::Counter& TimerCatchupCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "dsketch_window_timer_catchup_ticks_total");
-  return counter;
-}
-
-// Info gauge: constant 1, the interesting bits ride the labels (which
-// allocator mode, probe kernel, and metrics build this process runs).
-void RegisterBuildInfo() {
-  static bool once = [] {
-    obs::MetricsRegistry::Global()
+    m->slow_requests =
+        &registry.GetCounter("dsketch_service_slow_requests_total");
+    m->frame_bytes_in =
+        &registry.GetCounter("dsketch_service_frame_bytes_total{dir=\"in\"}");
+    m->frame_bytes_out =
+        &registry.GetCounter("dsketch_service_frame_bytes_total{dir=\"out\"}");
+    m->timer_ticks = &registry.GetCounter("dsketch_window_timer_ticks_total");
+    m->timer_catchup_ticks =
+        &registry.GetCounter("dsketch_window_timer_catchup_ticks_total");
+    // Info gauge: constant 1; the build this process runs rides the labels.
+    registry
         .GetGauge(std::string("dsketch_util_build_info{alloc_mode=\"") +
                   AllocModeName(GlobalAllocMode()) + "\",probe_isa=\"" +
                   FlatMapProbeIsa() + "\",metrics=\"" +
                   obs::MetricsBuildMode() + "\"}")
         .Set(1);
-    return true;
+    return m;
   }();
-  (void)once;
+  return *metrics;
+}
+
+// Encodes a response inside the wire_encode span.
+template <typename Response>
+Status EncodeBody(std::string (*encode)(uint64_t, const Response&),
+                  uint64_t request_id, const Response& rsp, std::string* out) {
+  obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
+  span.Annotate("bytes", (*out = encode(request_id, rsp)).size());
+  return Status::kOk;
 }
 
 }  // namespace
 
 SketchServer::SketchServer(const SketchServerOptions& options,
                            const AttributeTable* attrs)
-    : options_(options),
-      attrs_(attrs),
-      source_(options.shard, options.merged_capacity, options.seed),
-      engine_(&source_, attrs != nullptr ? attrs : &kEmptyAttrs),
-      weighted_view_(options.merged_capacity, options.seed) {
-  // The windowed fleet is built lazily on the first windowed frame, so
-  // its configuration is vetted here: a bad SketchServerOptions.window
-  // must fail at startup, not take down a serving process mid-stream.
-  // Stamped rows are the windowed clock, so row-count time is rejected
-  // (MakeShardedWindowed's contract); the rest mirrors the
-  // WindowedSketch constructor checks.
-  DSKETCH_CHECK(options.window.rows_per_epoch == 0);
-  DSKETCH_CHECK(options.window.window_epochs > 0 &&
-                options.window.window_epochs <= kMaxWindowEpochs);
-  DSKETCH_CHECK(ValidHalfLife(options.window.half_life_epochs));
-  // SNAPSHOT must be able to serialize every scope's view, so the
-  // capacities are bounded by the wire encoders' cap up front too —
-  // SerializeWindowed/Serialize would otherwise CHECK on the first
-  // SNAPSHOT frame.
-  DSKETCH_CHECK(options.window.epoch_capacity > 0 &&
-                options.window.epoch_capacity <= kMaxSerializableCapacity);
-  DSKETCH_CHECK(options.merged_capacity > 0 &&
-                options.merged_capacity <= kMaxSerializableCapacity);
-  // Wall-clock epoch scheduling is vetted at startup like the rest of
-  // the window configuration (0 = disabled).
-  DSKETCH_CHECK(options.epoch_interval_ms >= 0);
-  DSKETCH_CHECK(options.slow_request_us >= 0);
-  DSKETCH_CHECK(options.trace_sample >= 0);
-  // Sampling rides the process-wide collector (one serving pipeline per
-  // process is the deployment model); a server with both knobs at zero
-  // leaves an already-configured collector alone. The previous policy
-  // is saved and restored by the destructor so it stays scoped to this
-  // server's lifetime.
-  if (options.trace_sample > 0 || options.slow_request_us > 0) {
-    saved_trace_config_ = obs::TraceCollector::Global().config();
-    configured_tracing_ = true;
-    obs::TraceConfig trace_config;
-    trace_config.sample_every =
-        options.trace_sample > int64_t{0xFFFFFFFF}
-            ? uint32_t{0xFFFFFFFF}
-            : static_cast<uint32_t>(options.trace_sample);
-    trace_config.slow_request_us = options.slow_request_us;
-    obs::TraceCollector::Global().Configure(trace_config);
-  }
-  RegisterBuildInfo();
+    : options_(options), attrs_(attrs), boot_(kWriterScopes) {
+  Configure();
 }
 
 SketchServer::SketchServer(const SketchServerOptions& options,
                            FrozenSketchSource* replica,
                            const AttributeTable* attrs)
-    : SketchServer(options, attrs) {
+    : options_(options), attrs_(attrs) {
   DSKETCH_CHECK(replica != nullptr);
-  replica_ = replica;
-  replica_engine_ = std::make_unique<SketchQueryEngine>(
-      replica, attrs != nullptr ? attrs : &kEmptyAttrs);
+  Configure();
+  scopes_[static_cast<size_t>(QueryScope::kCounts)] =
+      MakeFrozenScope(replica, attrs);
+}
+
+void SketchServer::Configure() {
+  // Fleets boot on first use, so every option is vetted here, mirroring
+  // the ShardedSketch / WindowedSketch checks (stamped rows are the
+  // windowed clock) and the wire encoders' capacity cap.
+  DSKETCH_CHECK(options_.shard.num_shards > 0);
+  DSKETCH_CHECK(options_.shard.shard_capacity > 0);
+  DSKETCH_CHECK(options_.shard.batch_size > 0);
+  DSKETCH_CHECK(options_.window.rows_per_epoch == 0);
+  DSKETCH_CHECK(options_.window.window_epochs > 0 &&
+                options_.window.window_epochs <= kMaxWindowEpochs);
+  DSKETCH_CHECK(ValidHalfLife(options_.window.half_life_epochs));
+  DSKETCH_CHECK(options_.window.epoch_capacity > 0 &&
+                options_.window.epoch_capacity <= kMaxSerializableCapacity);
+  DSKETCH_CHECK(options_.merged_capacity > 0 &&
+                options_.merged_capacity <= kMaxSerializableCapacity);
+  DSKETCH_CHECK(options_.epoch_interval_ms >= 0);  // 0 = no timer
+  DSKETCH_CHECK(options_.slow_request_us >= 0);
+  DSKETCH_CHECK(options_.trace_sample >= 0);
+  // Sampling rides the process-wide collector (one serving pipeline per
+  // process); a server with both knobs at zero leaves it alone, others
+  // install their policy until the destructor restores the saved one.
+  if (options_.trace_sample > 0 || options_.slow_request_us > 0) {
+    saved_trace_config_ = obs::TraceCollector::Global().config();
+    configured_tracing_ = true;
+    obs::TraceCollector::Global().Configure(
+        {static_cast<uint32_t>(std::min<int64_t>(options_.trace_sample,
+                                                 0xFFFFFFFF)),
+         options_.slow_request_us});
+  }
+  Metrics();
 }
 
 SketchServer::~SketchServer() {
@@ -220,46 +163,18 @@ SketchServer::~SketchServer() {
   }
 }
 
-// Engine construction requires a non-null table; queries that actually
-// touch attributes are gated on attrs_ before reaching it.
-const AttributeTable SketchServer::kEmptyAttrs(1);
-
-ShardedWeightedSpaceSaving& SketchServer::Weighted() {
-  if (weighted_ == nullptr) {
-    ShardedSketchOptions opt = options_.shard;
-    opt.seed += kWeightedSeedOffset;
-    weighted_ = std::make_unique<ShardedWeightedSpaceSaving>(opt);
+Scope& SketchServer::Lookup(QueryScope scope) {
+  const size_t i = static_cast<size_t>(scope);
+  if (scopes_[i] == nullptr && boot_[i] != nullptr) {
+    scopes_[i] = boot_[i](options_, attrs_);
   }
-  return *weighted_;
+  return scopes_[i] != nullptr ? *scopes_[i] : unsupported_;
 }
 
-const WeightedSpaceSaving& SketchServer::WeightedView() {
-  if (weighted_ != nullptr && weighted_dirty_) {
-    weighted_view_ = weighted_->Snapshot(options_.merged_capacity,
-                                         options_.seed + kWeightedSeedOffset);
-    weighted_dirty_ = false;
-  }
-  return weighted_view_;
-}
-
-WindowedSketchSource& SketchServer::Window() {
-  if (window_source_ == nullptr) {
-    ShardedSketchOptions shard = options_.shard;
-    shard.seed += kWindowSeedOffset;
-    WindowedSketchOptions window = options_.window;
-    window.merged_capacity = options_.merged_capacity;
-    window_source_ =
-        std::make_unique<WindowedSketchSource>(shard, window);
-  }
-  return *window_source_;
-}
-
-SketchQueryEngine& SketchServer::WindowEngine() {
-  if (window_engine_ == nullptr) {
-    window_engine_ = std::make_unique<SketchQueryEngine>(
-        &Window(), attrs_ != nullptr ? attrs_ : &kEmptyAttrs);
-  }
-  return *window_engine_;
+ShardedSketchSource& SketchServer::source() {
+  ShardedSketchSource* source = Lookup(QueryScope::kCounts).source();
+  DSKETCH_CHECK(source != nullptr);  // a replica has no writable source
+  return *source;
 }
 
 Status SketchServer::BuildPredicate(const PredicateSpec& spec,
@@ -275,75 +190,44 @@ Status SketchServer::BuildPredicate(const PredicateSpec& spec,
   return Status::kOk;
 }
 
-std::string SketchServer::Fail(Opcode opcode, uint64_t request_id,
-                               Status status) {
-  ++counters_.errors;
-  switch (status) {
-    case Status::kMalformed:
-      ++counters_.errors_malformed;
-      break;
-    case Status::kUnknownOpcode:
-      ++counters_.errors_unknown_opcode;
-      break;
-    case Status::kUnsupported:
-      ++counters_.errors_unsupported;
-      break;
-    case Status::kTooLarge:
-      ++counters_.errors_too_large;
-      break;
-    case Status::kBadState:
-      ++counters_.errors_bad_state;
-      break;
-    case Status::kOk:
-      break;
-  }
-  ErrorCounter(status).Inc();
-  return EncodeErrorResponse(opcode, request_id, status);
-}
-
 std::string SketchServer::HandleRequest(std::string_view request) {
-  // Root span of the request's trace. Declared first so every child
-  // span below (decode, shard, window, query, encode) closes before it;
-  // the serve loop's response-write span joins afterwards via the
-  // pending-trace hand-off (obs/trace.h).
+  // Root span, declared first so every child span closes before it; the
+  // serve loop's response_write joins via the pending-trace hand-off.
   obs::ScopedTrace trace("request");
-  const std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
   wire::VarintReader reader(request);
   RequestHeader header;
   std::string response;
-  size_t op_index = 0;
-  uint64_t request_id = 0;
-  Opcode opcode = static_cast<Opcode>(0);
-  if (!DecodeRequestHeader(reader, &header)) {
-    response = Fail(static_cast<Opcode>(0), 0, Status::kMalformed);
-  } else {
-    op_index = OpcodeIndex(header.opcode);
-    request_id = header.request_id;
-    opcode = header.opcode;
+  Status status = Status::kMalformed;
+  if (DecodeRequestHeader(reader, &header)) {
     trace.SetTraceId(obs::TraceIdFromRequestId(header.request_id));
     trace.Annotate("opcode", static_cast<uint64_t>(header.opcode));
     trace.Annotate("request_bytes", request.size());
-    response = header.version != kProtocolVersion
-                   ? Fail(header.opcode, header.request_id,
-                          Status::kUnsupported)
-                   : Dispatch(header, reader);
+    status = header.version != kProtocolVersion
+                 ? Status::kUnsupported
+                 : Dispatch(header.opcode, header.request_id, reader,
+                            &response);
+  } else {
+    header = RequestHeader{kProtocolVersion, static_cast<Opcode>(0), 0};
+  }
+  if (status != Status::kOk) {
+    // The one error path: STATS and obs counters, header-only response.
+    ++errors_[static_cast<size_t>(status)];
+    Metrics().errors[static_cast<size_t>(status)]->Inc();
+    response = EncodeErrorResponse(header.opcode, header.request_id, status);
   }
   const uint64_t latency_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  RequestCounter(op_index).Inc();
-  LatencyHistogram(op_index).Record(latency_us);
+  const size_t op_index = OpcodeIndex(header.opcode);
+  Metrics().requests[op_index]->Inc();
+  Metrics().latency_us[op_index]->Record(latency_us);
   if (options_.slow_request_us > 0 &&
       latency_us >= static_cast<uint64_t>(options_.slow_request_us)) {
-    SlowRequestCounter().Inc();
-    SlowRequestInfo info;
-    info.opcode = opcode;
-    info.request_id = request_id;
-    info.latency_us = latency_us;
-    info.request_bytes = request.size();
-    info.response_bytes = response.size();
+    Metrics().slow_requests->Inc();
+    const SlowRequestInfo info{header.opcode, header.request_id, latency_us,
+                               request.size(), response.size()};
     if (options_.slow_request_hook) {
       options_.slow_request_hook(info);
     } else {
@@ -358,436 +242,219 @@ std::string SketchServer::HandleRequest(std::string_view request) {
   return response;
 }
 
-std::string SketchServer::Dispatch(const RequestHeader& header,
-                                   wire::VarintReader& reader) {
-  switch (header.opcode) {
+Status SketchServer::Dispatch(Opcode opcode, uint64_t id,
+                              wire::VarintReader& in, std::string* out) {
+  switch (opcode) {
     case Opcode::kIngestBatch:
-      return HandleIngestBatch(header, reader);
+      return HandleIngest(id, in, out);
     case Opcode::kQuerySum:
-      return HandleQuerySum(header, reader);
+      return HandleSum(id, in, out);
     case Opcode::kQueryTopK:
-      return HandleQueryTopK(header, reader);
+      return HandleTopK(id, in, out);
     case Opcode::kQueryGroupBy:
-      return HandleQueryGroupBy(header, reader);
+      return HandleGroupBy(id, in, out);
     case Opcode::kSnapshot:
-      return HandleSnapshot(header, reader);
+      return HandleSnapshot(id, in, out);
     case Opcode::kRestore:
-      return HandleRestore(header, reader);
-    case Opcode::kMetrics:
-      return HandleMetrics(header, reader);
-    case Opcode::kTrace:
-      return HandleTrace(header, reader);
-    case Opcode::kStats: {
-      if (!reader.AtEnd()) {
-        return Fail(header.opcode, header.request_id, Status::kMalformed);
-      }
-      return EncodeStatsResponse(header.request_id, Stats());
-    }
-    case Opcode::kShutdown: {
-      if (!reader.AtEnd()) {
-        return Fail(header.opcode, header.request_id, Status::kMalformed);
-      }
+      return HandleRestore(id, in, out);
+    // The opcodes that name no scope, served alike by writers and
+    // replicas: a read-only node's telemetry and traces are exactly what
+    // an operator watching a replica fleet needs.
+    case Opcode::kStats:
+      if (!in.AtEnd()) return Status::kMalformed;
+      return EncodeBody(EncodeStatsResponse, id, Stats(), out);
+    case Opcode::kShutdown:
+      if (!in.AtEnd()) return Status::kMalformed;
       shutdown_ = true;
-      return EncodeShutdownResponse(header.request_id);
+      *out = EncodeShutdownResponse(id);
+      return Status::kOk;
+    case Opcode::kMetrics: {
+      MetricsRequest req;
+      if (!DecodeMetricsRequest(in, &req)) return Status::kMalformed;
+      const MetricsResponse rsp{
+          obs::DumpMetricsText(MetricsScopePrefix(req.scope))};
+      if (rsp.text.size() > kMaxMetricsTextBytes) return Status::kTooLarge;
+      return EncodeBody(EncodeMetricsResponse, id, rsp, out);
+    }
+    case Opcode::kTrace: {
+      TraceRequest req;
+      if (!DecodeTraceRequest(in, &req)) return Status::kMalformed;
+      const TraceResponse rsp{
+          req.scope == TraceScope::kRecent
+              ? obs::TraceToChromeJson(obs::TraceCollector::Global().Recent())
+              : obs::SpansToText(obs::FlightRecorder::Global().Dump())};
+      if (rsp.text.size() > kMaxTraceTextBytes) return Status::kTooLarge;
+      return EncodeBody(EncodeTraceResponse, id, rsp, out);
     }
   }
-  return Fail(header.opcode, header.request_id, Status::kUnknownOpcode);
+  return Status::kUnknownOpcode;
 }
 
-std::string SketchServer::HandleMetrics(const RequestHeader& header,
-                                        wire::VarintReader& reader) {
-  MetricsRequest req;
-  if (!DecodeMetricsRequest(reader, &req)) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
-  }
-  // Served in replica mode too: a read-only node's telemetry is exactly
-  // what an operator watching a replica fleet needs.
-  MetricsResponse rsp;
-  rsp.text = obs::DumpMetricsText(MetricsScopePrefix(req.scope));
-  if (rsp.text.size() > kMaxMetricsTextBytes) {
-    return Fail(header.opcode, header.request_id, Status::kTooLarge);
-  }
-  return EncodeMetricsResponse(header.request_id, rsp);
-}
-
-std::string SketchServer::HandleTrace(const RequestHeader& header,
-                                      wire::VarintReader& reader) {
-  TraceRequest req;
-  if (!DecodeTraceRequest(reader, &req)) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
-  }
-  // Served in replica mode too: why a read-only node's requests were
-  // slow is exactly what its traces answer.
-  TraceResponse rsp;
-  rsp.text =
-      req.scope == TraceScope::kRecent
-          ? obs::TraceToChromeJson(obs::TraceCollector::Global().Recent())
-          : obs::SpansToText(obs::FlightRecorder::Global().Dump());
-  if (rsp.text.size() > kMaxTraceTextBytes) {
-    return Fail(header.opcode, header.request_id, Status::kTooLarge);
-  }
-  return EncodeTraceResponse(header.request_id, rsp);
-}
-
-std::string SketchServer::HandleIngestBatch(const RequestHeader& header,
-                                            wire::VarintReader& reader) {
+Status SketchServer::HandleIngest(uint64_t id, wire::VarintReader& in,
+                                  std::string* out) {
   IngestBatchRequest req;
-  bool decoded;
   {
     obs::ScopedSpan span("frame_decode", obs::TraceLayer::kWire);
-    decoded = DecodeIngestBatchRequest(reader, &req);
+    const bool decoded = DecodeIngestBatchRequest(in, &req);
     span.Annotate("rows", req.items.size());
+    if (!decoded) return Status::kMalformed;
   }
-  if (!decoded) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
-  }
-  if (replica_ != nullptr) {
-    // Replicas are read-only; rows belong on a writer node.
-    return Fail(header.opcode, header.request_id, Status::kUnsupported);
-  }
-  if (req.windowed) {
-    std::vector<EpochRow> rows;
-    rows.reserve(req.items.size());
-    for (uint64_t item : req.items) rows.push_back({item, req.epoch});
-    WindowedSketchSource& window = Window();
-    window.Advance(req.epoch);  // an empty batch still advances the ring
-    window.IngestEpoch(Span<const EpochRow>(rows.data(), rows.size()));
-    counters_.windowed_rows_ingested += rows.size();
-  } else if (req.weights.empty()) {
-    source_.Ingest(Span<const uint64_t>(req.items.data(), req.items.size()));
-    counters_.rows_ingested += req.items.size();
-  } else {
-    std::vector<WeightedEntry> rows;
-    rows.reserve(req.items.size());
-    for (size_t i = 0; i < req.items.size(); ++i) {
-      rows.push_back({req.items[i], req.weights[i]});
-    }
-    Weighted().Ingest(Span<const WeightedEntry>(rows.data(), rows.size()));
-    weighted_dirty_ = true;
-    counters_.weighted_rows_ingested += rows.size();
-  }
+  // The row flags name the scope (weighted and windowed are exclusive).
+  const Status status = Lookup(req.windowed          ? QueryScope::kWindow
+                               : req.weights.empty() ? QueryScope::kCounts
+                                                     : QueryScope::kWeighted)
+                            .Ingest(req);
+  if (status != Status::kOk) return status;
   ++counters_.batches;
-  IngestBatchResponse rsp;
-  rsp.rows_accepted = req.items.size();
-  obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
-  return EncodeIngestBatchResponse(header.request_id, rsp);
+  return EncodeBody(EncodeIngestBatchResponse, id,
+                    IngestBatchResponse{req.items.size()}, out);
 }
 
-std::string SketchServer::HandleQuerySum(const RequestHeader& header,
-                                         wire::VarintReader& reader) {
+Status SketchServer::HandleSum(uint64_t id, wire::VarintReader& in,
+                               std::string* out) {
   QuerySumRequest req;
-  bool decoded;
   {
     obs::ScopedSpan span("frame_decode", obs::TraceLayer::kWire);
-    decoded = DecodeQuerySumRequest(reader, &req);
-  }
-  if (!decoded) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
+    if (!DecodeQuerySumRequest(in, &req)) return Status::kMalformed;
   }
   Predicate pred;
   Status status = BuildPredicate(req.where, &pred);
-  if (status != Status::kOk) {
-    return Fail(header.opcode, header.request_id, status);
-  }
-  if (replica_ != nullptr && req.scope != QueryScope::kCounts) {
-    // The image holds only the counts sketch.
-    return Fail(header.opcode, header.request_id, Status::kUnsupported);
-  }
-  ++counters_.queries;
+  if (status != Status::kOk) return status;
   QuerySumResponse rsp;
   {
     obs::ScopedSpan span("query_reduce", obs::TraceLayer::kQuery);
     span.Annotate("scope", static_cast<uint64_t>(req.scope));
-    if (req.scope == QueryScope::kCounts) {
-      SubsetSumEstimate est =
-          replica_ != nullptr ? replica_engine_->Sum(pred) : engine_.Sum(pred);
-      rsp.estimate = est.estimate;
-      rsp.variance = est.variance;
-      rsp.items_in_sample = est.items_in_sample;
-    } else if (req.scope == QueryScope::kWindow) {
-      SubsetSumEstimate est =
-          WindowEngine().SumWindow(static_cast<size_t>(req.last_k), pred);
-      rsp.estimate = est.estimate;
-      rsp.variance = est.variance;
-      rsp.items_in_sample = est.items_in_sample;
-    } else {
-      const bool match_all = req.where.conditions.empty();
-      WeightedSubsetSum est =
-          EstimateSubsetSum(WeightedView(), [&](uint64_t item) {
-            return match_all || pred.Matches(*attrs_, item);
-          });
-      rsp.estimate = est.estimate;
-      rsp.variance = est.variance;
-      rsp.items_in_sample = est.items_in_sample;
-    }
+    status = Lookup(req.scope).Sum(req, pred, &rsp);
   }
-  obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
-  return EncodeQuerySumResponse(header.request_id, rsp);
+  if (status != Status::kOk) return status;
+  ++counters_.queries;
+  return EncodeBody(EncodeQuerySumResponse, id, rsp, out);
 }
 
-std::string SketchServer::HandleQueryTopK(const RequestHeader& header,
-                                          wire::VarintReader& reader) {
+Status SketchServer::HandleTopK(uint64_t id, wire::VarintReader& in,
+                                std::string* out) {
   QueryTopKRequest req;
-  bool decoded;
   {
     obs::ScopedSpan span("frame_decode", obs::TraceLayer::kWire);
-    decoded = DecodeQueryTopKRequest(reader, &req);
+    if (!DecodeQueryTopKRequest(in, &req)) return Status::kMalformed;
   }
-  if (!decoded) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
-  }
-  if (replica_ != nullptr && req.scope != QueryScope::kCounts) {
-    return Fail(header.opcode, header.request_id, Status::kUnsupported);
-  }
-  ++counters_.queries;
   QueryTopKResponse rsp;
   rsp.scope = req.scope;
+  Status status;
   {
     obs::ScopedSpan span("query_reduce", obs::TraceLayer::kQuery);
     span.Annotate("scope", static_cast<uint64_t>(req.scope));
     span.Annotate("k", req.k);
-    if (req.scope == QueryScope::kCounts) {
-      if (replica_ != nullptr) {
-        // The image stores entries in descending order: top-k is its
-        // first k records, no decode or sort.
-        rsp.counts =
-            FrozenTopK(replica_->frozen(), static_cast<size_t>(req.k));
-      } else {
-        source_.Flush();
-        rsp.counts = TopK(source_.View(), static_cast<size_t>(req.k));
-      }
-    } else if (req.scope == QueryScope::kWindow) {
-      // WindowView's merge flushes the fleet whenever the view is dirty.
-      rsp.counts = TopK(Window().WindowView(static_cast<size_t>(req.last_k)),
-                        static_cast<size_t>(req.k));
-    } else {
-      std::vector<WeightedEntry> entries = WeightedView().Entries();
-      if (entries.size() > req.k) entries.resize(static_cast<size_t>(req.k));
-      rsp.weighted = std::move(entries);
-    }
+    status = Lookup(req.scope).TopK(req, &rsp);
   }
-  obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
-  return EncodeQueryTopKResponse(header.request_id, rsp);
+  if (status != Status::kOk) return status;
+  ++counters_.queries;
+  return EncodeBody(EncodeQueryTopKResponse, id, rsp, out);
 }
 
-std::string SketchServer::HandleQueryGroupBy(const RequestHeader& header,
-                                             wire::VarintReader& reader) {
+Status SketchServer::HandleGroupBy(uint64_t id, wire::VarintReader& in,
+                                   std::string* out) {
   QueryGroupByRequest req;
-  if (!DecodeQueryGroupByRequest(reader, &req)) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
-  }
-  if (attrs_ == nullptr) {
-    return Fail(header.opcode, header.request_id, Status::kUnsupported);
-  }
+  if (!DecodeQueryGroupByRequest(in, &req)) return Status::kMalformed;
+  if (attrs_ == nullptr) return Status::kUnsupported;
   if (req.dim1 >= attrs_->num_dims() ||
       (req.has_dim2 && req.dim2 >= attrs_->num_dims())) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
+    return Status::kMalformed;
   }
   Predicate pred;
   Status status = BuildPredicate(req.where, &pred);
-  if (status != Status::kOk) {
-    return Fail(header.opcode, header.request_id, status);
-  }
-  ++counters_.queries;
+  if (status != Status::kOk) return status;
   QueryGroupByResponse rsp;
   {
     obs::ScopedSpan span("query_reduce", obs::TraceLayer::kQuery);
-    auto add_group = [&rsp](uint64_t key, const SubsetSumEstimate& est) {
-      rsp.groups.push_back(
-          {key, est.estimate, est.variance, est.items_in_sample});
-    };
-    SketchQueryEngine& engine =
-        replica_ != nullptr ? *replica_engine_ : engine_;
-    if (req.has_dim2) {
-      for (const auto& [key, est] :
-           engine.GroupBy2(static_cast<size_t>(req.dim1),
-                           static_cast<size_t>(req.dim2), pred)) {
-        add_group(key, est);
-      }
-    } else {
-      for (const auto& [key, est] :
-           engine.GroupBy1(static_cast<size_t>(req.dim1), pred)) {
-        add_group(key, est);
-      }
-    }
-    // Deterministic response order (the engine's maps are unordered).
-    std::sort(
-        rsp.groups.begin(), rsp.groups.end(),
-        [](const GroupRow& a, const GroupRow& b) { return a.key < b.key; });
+    // A group-by names no scope: it always addresses the counts scope.
+    status = Lookup(QueryScope::kCounts).GroupBy(req, pred, &rsp);
     span.Annotate("groups", rsp.groups.size());
   }
-  obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
-  return EncodeQueryGroupByResponse(header.request_id, rsp);
+  if (status != Status::kOk) return status;
+  ++counters_.queries;
+  return EncodeBody(EncodeQueryGroupByResponse, id, rsp, out);
 }
 
-std::string SketchServer::HandleSnapshot(const RequestHeader& header,
-                                         wire::VarintReader& reader) {
+Status SketchServer::HandleSnapshot(uint64_t id, wire::VarintReader& in,
+                                    std::string* out) {
   SnapshotRequest req;
-  if (!DecodeSnapshotRequest(reader, &req)) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
-  }
-  // The frozen image carries only the counts sketch; other scopes have
-  // no frozen form.
-  if (req.frozen && req.scope != QueryScope::kCounts) {
-    return Fail(header.opcode, header.request_id, Status::kUnsupported);
-  }
-  if (replica_ != nullptr && req.scope != QueryScope::kCounts) {
-    return Fail(header.opcode, header.request_id, Status::kUnsupported);
-  }
-  ++counters_.snapshots;
+  if (!DecodeSnapshotRequest(in, &req)) return Status::kMalformed;
   SnapshotResponse rsp;
   SnapshotFormat format = SnapshotFormat::kStream;
-  if (replica_ != nullptr) {
-    // A replica's state IS a frozen image: re-serve it byte-for-byte
-    // whether or not the client asked for frozen.
-    rsp.blob = replica_->SaveSnapshot();
-    format = SnapshotFormat::kFrozen;
-  } else if (req.scope == QueryScope::kCounts) {
-    if (req.frozen) {
-      source_.Flush();
-      rsp.blob = SerializeFrozen(source_.View());
-      format = SnapshotFormat::kFrozen;
-    } else {
-      rsp.blob = source_.SaveSnapshot();
-    }
-  } else if (req.scope == QueryScope::kWindow) {
-    rsp.blob = Window().SaveSnapshot();  // the full epoch ring
-  } else {
-    rsp.blob = SketchWire<WeightedSpaceSaving>::Serialize(WeightedView());
-  }
-  // A frame must hold the response; the serialization caps keep real
-  // snapshots far below this.
-  if (rsp.blob.size() > kMaxSnapshotBlobBytes) {
-    return Fail(header.opcode, header.request_id, Status::kTooLarge);
-  }
+  const Status status =
+      Lookup(req.scope).Snapshot(req.frozen, &rsp.blob, &format);
+  if (status != Status::kOk) return status;
+  ++counters_.snapshots;
+  // A frame must hold the response (real snapshots are far below this).
+  if (rsp.blob.size() > kMaxSnapshotBlobBytes) return Status::kTooLarge;
   counters_.last_snapshot_format = format;
   counters_.last_snapshot_bytes = rsp.blob.size();
-  obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
-  span.Annotate("blob_bytes", rsp.blob.size());
-  return EncodeSnapshotResponse(header.request_id, rsp);
+  return EncodeBody(EncodeSnapshotResponse, id, rsp, out);
 }
 
-std::string SketchServer::HandleRestore(const RequestHeader& header,
-                                        wire::VarintReader& reader) {
+Status SketchServer::HandleRestore(uint64_t id, wire::VarintReader& in,
+                                   std::string* out) {
   RestoreRequest req;
-  if (!DecodeRestoreRequest(reader, &req)) {
-    return Fail(header.opcode, header.request_id, Status::kMalformed);
-  }
-  if (replica_ != nullptr) {
-    // Replicas are read-only; nothing restores into a frozen image.
-    return Fail(header.opcode, header.request_id, Status::kUnsupported);
-  }
+  if (!DecodeRestoreRequest(in, &req)) return Status::kMalformed;
   RestoreResponse rsp;
-  if (req.scope == QueryScope::kCounts) {
-    if (!source_.RestoreSnapshot(req.blob)) {
-      return Fail(header.opcode, header.request_id, Status::kBadState);
-    }
-    rsp.num_absorbed = source_.sharded().num_absorbed();
-  } else if (req.scope == QueryScope::kWindow) {
-    if (!Window().RestoreSnapshot(req.blob)) {
-      return Fail(header.opcode, header.request_id, Status::kBadState);
-    }
-    rsp.num_absorbed = Window().sharded().num_absorbed();
-  } else {
-    if (!Weighted().IngestSerialized(req.blob)) {
-      return Fail(header.opcode, header.request_id, Status::kBadState);
-    }
-    weighted_dirty_ = true;
-    rsp.num_absorbed = Weighted().num_absorbed();
-  }
+  const Status status = Lookup(req.scope).Restore(req.blob, &rsp.num_absorbed);
+  if (status != Status::kOk) return status;
   ++counters_.restores;
   counters_.last_restore_format = BlobSnapshotFormat(req.blob);
   counters_.last_restore_bytes = req.blob.size();
-  return EncodeRestoreResponse(header.request_id, rsp);
+  return EncodeBody(EncodeRestoreResponse, id, rsp, out);
 }
 
 StatsResponse SketchServer::Stats() {
-  StatsResponse out;
-  out.rows_ingested = counters_.rows_ingested;
-  out.weighted_rows_ingested = counters_.weighted_rows_ingested;
-  out.windowed_rows_ingested = counters_.windowed_rows_ingested;
-  out.window_epoch =
-      window_source_ != nullptr ? window_source_->current_epoch() : 0;
-  out.batches = counters_.batches;
-  out.queries = counters_.queries;
-  out.snapshots = counters_.snapshots;
-  out.restores = counters_.restores;
-  out.errors = counters_.errors;
-  out.errors_malformed = counters_.errors_malformed;
-  out.errors_unknown_opcode = counters_.errors_unknown_opcode;
-  out.errors_unsupported = counters_.errors_unsupported;
-  out.errors_too_large = counters_.errors_too_large;
-  out.errors_bad_state = counters_.errors_bad_state;
-  out.num_shards = source_.sharded().num_shards();
-  if (replica_ != nullptr) {
-    // Replica totals come off the image header; the (empty) writer
-    // fleet underneath never sees a row.
-    out.total_count = replica_->frozen().total_count();
-  } else {
-    source_.Flush();
-    out.total_count = source_.View().TotalCount();
+  StatsResponse out = counters_;
+  out.errors = std::accumulate(errors_.begin(), errors_.end(), uint64_t{0});
+  out.errors_malformed = errors_[static_cast<size_t>(Status::kMalformed)];
+  out.errors_unknown_opcode =
+      errors_[static_cast<size_t>(Status::kUnknownOpcode)];
+  out.errors_unsupported = errors_[static_cast<size_t>(Status::kUnsupported)];
+  out.errors_too_large = errors_[static_cast<size_t>(Status::kTooLarge)];
+  out.errors_bad_state = errors_[static_cast<size_t>(Status::kBadState)];
+  out.num_shards = options_.shard.num_shards;
+  // A scope that never booted holds no rows: its fields stay zero.
+  for (const std::unique_ptr<Scope>& scope : scopes_) {
+    if (scope != nullptr) scope->FillStats(&out);
   }
-  out.total_weight =
-      weighted_ != nullptr ? WeightedView().TotalWeight() : 0.0;
-  out.last_snapshot_format = counters_.last_snapshot_format;
-  out.last_snapshot_bytes = counters_.last_snapshot_bytes;
-  out.last_restore_format = counters_.last_restore_format;
-  out.last_restore_bytes = counters_.last_restore_bytes;
   out.traces_captured_total = obs::TraceCollector::Global().traces_captured();
   out.flight_recorder_dropped_total = obs::FlightRecorder::Global().dropped();
   return out;
 }
 
-void SketchServer::TickEpochs(uint64_t ticks) {
-  // Owed-tick catch-up is visible per cause: ticks counts every epoch
-  // the wall clock owed, catchup the ones beyond the first — a stalled
-  // serve loop (slow request, suspended process) shows up as catchup.
-  TimerTickCounter().Inc(ticks);
-  if (ticks > 1) TimerCatchupCounter().Inc(ticks - 1);
-  WindowedSketchSource& window = Window();
-  const uint64_t current = window.current_epoch();
-  const uint64_t target = ticks > kMaxEpochStamp - current
-                              ? kMaxEpochStamp
-                              : current + ticks;
-  window.Advance(target);
-}
-
 void SketchServer::Serve(Transport& transport) {
   using Clock = std::chrono::steady_clock;
-  const int64_t interval = options_.epoch_interval_ms;
-  Clock::time_point next_tick =
-      Clock::now() + std::chrono::milliseconds(interval);
+  using Ms = std::chrono::milliseconds;
+  const Ms interval(options_.epoch_interval_ms);
+  Clock::time_point next_tick = Clock::now() + interval;
   std::string payload;
   while (true) {
-    if (interval > 0) {
-      // Wall-clock epoch scheduling: wait for readability in slices so
-      // every elapsed interval advances the windowed epoch — including
-      // idle stretches with no frames at all. A stalled serve loop
-      // (slow request, suspended process) catches up in one Advance for
-      // all owed ticks, never one epoch at a time.
-      while (!transport.WaitReadable(static_cast<int>(std::max<int64_t>(
-          0, std::chrono::duration_cast<std::chrono::milliseconds>(
-                 next_tick - Clock::now())
-                 .count())))) {
-        const Clock::time_point now = Clock::now();
-        if (now < next_tick) continue;  // spurious poll-timeout slop
-        const uint64_t ticks =
-            1 + static_cast<uint64_t>(
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        now - next_tick)
-                        .count()) /
-                    static_cast<uint64_t>(interval);
-        TickEpochs(ticks);
-        next_tick += std::chrono::milliseconds(
-            interval * static_cast<int64_t>(ticks));
-      }
+    // Wall-clock epoch scheduling: wait for readability in slices so
+    // every elapsed interval advances the windowed epoch, idle or not; a
+    // stalled loop catches up all owed ticks in one Advance.
+    while (interval.count() > 0 &&
+           !transport.WaitReadable(static_cast<int>(std::max<int64_t>(
+               0, std::chrono::duration_cast<Ms>(next_tick - Clock::now())
+                      .count())))) {
+      const Clock::time_point now = Clock::now();
+      if (now < next_tick) continue;  // spurious poll-timeout slop
+      const int64_t ticks =
+          1 + std::chrono::duration_cast<Ms>(now - next_tick) / interval;
+      // Catch-up ticks (beyond the first) expose a stalled loop.
+      Metrics().timer_ticks->Inc(static_cast<uint64_t>(ticks));
+      Metrics().timer_catchup_ticks->Inc(static_cast<uint64_t>(ticks - 1));
+      Lookup(QueryScope::kWindow).TickEpochs(static_cast<uint64_t>(ticks));
+      next_tick += interval * ticks;
     }
     FrameStatus fs = ReadFrame(transport, &payload);
     // EOF ends the session cleanly; a frame violation (hostile length
     // prefix, mid-frame EOF) is unrecoverable on a byte stream, so the
     // connection is dropped either way.
     if (fs != FrameStatus::kOk) break;
-    FrameBytesCounter(/*in=*/true).Inc(payload.size() + kFrameHeaderBytes);
+    Metrics().frame_bytes_in->Inc(payload.size() + kFrameHeaderBytes);
     std::string response = HandleRequest(payload);
     bool wrote;
     {
@@ -799,7 +466,7 @@ void SketchServer::Serve(Transport& transport) {
     }
     obs::FlushPendingTrace();
     if (!wrote) break;
-    FrameBytesCounter(/*in=*/false).Inc(response.size() + kFrameHeaderBytes);
+    Metrics().frame_bytes_out->Inc(response.size() + kFrameHeaderBytes);
     if (shutdown_) break;
   }
   transport.CloseWrite();

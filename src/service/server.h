@@ -1,30 +1,41 @@
 // SketchServer: the long-lived streaming service over the query engine.
 //
-// One server owns the full ingest-to-answer pipeline the ROADMAP's
-// streaming-service item describes: framed INGEST_BATCH requests drain
-// into a ShardedSketch via SketchSource::Ingest (unit rows) or into a
-// ShardedWeightedSpaceSaving fleet (weighted rows), queries are answered
-// from SketchQueryEngine against the merged snapshot view, and
-// replication rides the wire snapshot codecs — SNAPSHOT streams
-// SaveSnapshot bytes out, RESTORE feeds IngestSerialized so a replica
-// catches up from a peer's snapshot while keeping its own rows.
+// HandleRequest maps one request payload to one response payload (pure
+// request/response, fully unit-testable); Serve() runs it over a framed
+// Transport until EOF, a frame-level protocol violation, or SHUTDOWN.
+// Hostile input never crashes the server: undecodable requests answer
+// Status::kMalformed, unknown opcodes kUnknownOpcode, oversized claims
+// kTooLarge — the never-abort contract the wire decoders pin under asan.
 //
-// The request surface is transport-agnostic: HandleRequest maps one
-// request payload to one response payload (pure request/response, fully
-// unit-testable), and Serve() is the event loop that runs it over a
-// framed Transport until EOF, a frame-level protocol violation, or a
-// SHUTDOWN request. Hostile input never crashes the server: undecodable
-// requests get Status::kMalformed responses, unknown opcodes
-// Status::kUnknownOpcode, oversized claims Status::kTooLarge — the same
-// never-abort contract the sketch wire decoders pin under asan.
+// Every sketch the server answers from is a Scope (service/scope.h) in a
+// table indexed by QueryScope, so a handler is decode → validate the
+// predicate → look the scope up → call it → encode. A writer's scopes
+// boot their shard fleets on first use; a replica's table holds only its
+// frozen image, so it never starts a shard thread. Empty slots and
+// operations a scope lacks answer Status::kUnsupported (U):
 //
-// Threading: one thread drives HandleRequest/Serve (the sharded fleets
-// below fan work out across their own workers). Run multiple servers for
-// multiple connections and let them exchange snapshots.
+//                     ------ writer ------    ------ replica ------
+//                     counts weighted window  counts weighted window
+//   INGEST_BATCH        OK     OK      OK       U      U       U
+//   QUERY_SUM / TOPK    OK     OK      OK       OK     U       U
+//   QUERY_GROUPBY       OK     -       -        OK     -       -
+//   SNAPSHOT            OK     OK      OK       OK*    U       U
+//   SNAPSHOT frozen     OK     U       U        OK*    U       U
+//   RESTORE             OK     OK      OK       U      U       U
+//
+// GROUPBY names no scope and always reads counts; OK* is the image
+// itself, byte for byte. STATS, SHUTDOWN, METRICS and TRACE name no scope
+// and are served by both. Replication rides the snapshot codecs: RESTORE
+// absorbs a peer's SNAPSHOT next to local rows.
+//
+// Threading: one thread drives HandleRequest/Serve (the shard fleets fan
+// work out across their own workers); run a server per connection and
+// let them exchange snapshots.
 
 #ifndef DSKETCH_SERVICE_SERVER_H_
 #define DSKETCH_SERVICE_SERVER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -34,13 +45,13 @@
 
 #include "obs/trace.h"
 #include "query/attribute_table.h"
-#include "query/engine.h"
 #include "query/frozen_source.h"
 #include "query/sketch_source.h"
-#include "query/windowed_source.h"
 #include "service/protocol.h"
+#include "service/scope.h"
 #include "service/transport.h"
 #include "shard/sharded_sketch.h"
+#include "window/windowed_sketch.h"
 
 namespace dsketch {
 
@@ -57,72 +68,58 @@ struct SlowRequestInfo {
 /// Server tuning knobs.
 struct SketchServerOptions {
   /// Shard fleet configuration (workers, per-shard bins, queues) shared
-  /// by the counts, weighted, and windowed ingest paths.
+  /// by the counts, weighted, and windowed scopes.
   ShardedSketchOptions shard;
   /// Bins of the merged snapshot view queries and SNAPSHOT run against.
   size_t merged_capacity = 4096;
-  /// Epoch-ring configuration of the windowed scope (its merged_capacity
-  /// is overridden by `merged_capacity` above so every scope's query
-  /// view is sized the same way; its seed comes from shard.seed).
+  /// Epoch ring of the windowed scope (its merged_capacity is replaced by
+  /// the one above, its seed derived from shard.seed).
   WindowedSketchOptions window;
   /// Seed for the snapshot merge and restores (shard seeds come from
-  /// shard.seed; the weighted/windowed fleets offset it so the paths
-  /// differ).
+  /// shard.seed, offset per scope so the paths differ).
   uint64_t seed = 1;
-  /// > 0: wall-clock epoch scheduling — Serve() advances the windowed
-  /// scope's epoch every this-many milliseconds of real time, so a
-  /// deployment gets sliding windows without every client stamping rows.
-  /// 0 (default) keeps epochs purely caller-driven. Must be >= 0.
+  /// > 0: Serve() advances the windowed scope's epoch every this-many
+  /// milliseconds of real time, so windows slide without every client
+  /// stamping rows. 0 (default) keeps epochs caller-driven. Must be >= 0.
   int64_t epoch_interval_ms = 0;
-  /// > 0: every request whose HandleRequest latency reaches this many
-  /// microseconds fires `slow_request_hook` (default: one structured
-  /// line on stderr — see README "Observability") and bumps
-  /// dsketch_service_slow_requests_total. 0 (default) disables the
-  /// hook. Must be >= 0.
+  /// > 0: every request whose HandleRequest latency reaches this many µs
+  /// fires `slow_request_hook` (default: one structured stderr line, see
+  /// README "Observability") and bumps
+  /// dsketch_service_slow_requests_total. 0 (default) disables it.
   int64_t slow_request_us = 0;
-  /// Replaces the default stderr line when set (tests capture calls;
-  /// embedders route into their own logger). Called on the serving
+  /// Replaces the default stderr line when set. Called on the serving
   /// thread — keep it cheap.
   std::function<void(const SlowRequestInfo&)> slow_request_hook;
   /// > 0: capture every Nth request's full span tree into the
-  /// recent-traces ring (obs/trace.h; 1 = every request). Combined with
-  /// slow_request_us > 0, every slow request is also captured in full
-  /// (tail sampling). 0 (default) leaves per-request sampling off — the
-  /// flight recorder still runs. Must be >= 0. Applied to the global
-  /// TraceCollector at construction when either sampling knob is set;
-  /// the destructor restores the previous policy, so a server's
-  /// sampling does not outlive it (tests and embedders constructing
-  /// several servers in one process see each policy scoped to its
-  /// server's lifetime).
+  /// recent-traces ring (obs/trace.h; 1 = every request); with
+  /// slow_request_us > 0 every slow request is captured too (tail
+  /// sampling). 0 (default) leaves sampling off — the flight recorder
+  /// still runs. Must be >= 0. Applied to the global TraceCollector for
+  /// the server's lifetime when either sampling knob is set.
   int64_t trace_sample = 0;
 };
 
 /// The streaming sketch service.
 class SketchServer {
  public:
-  /// `attrs` is the dimension table predicates and group-bys evaluate
-  /// against; it may be nullptr (queries with attribute conditions then
-  /// answer Status::kUnsupported) and must outlive the server otherwise.
+  /// Read-write server. `attrs` is the dimension table predicates and
+  /// group-bys evaluate against; it may be nullptr (queries with
+  /// attribute conditions then answer Status::kUnsupported) and must
+  /// outlive the server otherwise. Bad options CHECK-fail here.
   explicit SketchServer(const SketchServerOptions& options,
                         const AttributeTable* attrs = nullptr);
 
-  /// Read-replica server over a frozen image (`dsketchd --replica`):
-  /// counts-scope queries are answered straight off the image via the
-  /// engine's zero-decode path, SNAPSHOT re-serves the image itself, and
-  /// everything that would mutate or miss the image (INGEST, RESTORE,
-  /// weighted/window scopes) answers Status::kUnsupported. `replica`
-  /// must be non-null and outlive the server; callers should Validate()
-  /// untrusted images first.
+  /// Read-replica server over a frozen image (`dsketchd --replica`; see
+  /// the support matrix above). `replica` must be non-null and outlive
+  /// the server; callers should Validate() untrusted images first.
   SketchServer(const SketchServerOptions& options, FrozenSketchSource* replica,
                const AttributeTable* attrs);
 
-  /// Restores the process-global trace sampling policy the constructor
-  /// replaced (see SketchServerOptions::trace_sample).
+  /// Restores the trace sampling policy the constructor replaced.
   ~SketchServer();
 
-  /// Maps one request payload to one response payload. Always returns a
-  /// well-formed response (possibly an error response); never aborts on
-  /// hostile bytes.
+  /// Maps one request payload to one well-formed response payload
+  /// (possibly an error response); never aborts on hostile bytes.
   std::string HandleRequest(std::string_view request);
 
   /// Serves framed requests until EOF, a frame violation, or SHUTDOWN;
@@ -132,106 +129,54 @@ class SketchServer {
   /// True once a SHUTDOWN request has been handled.
   bool shutdown_requested() const { return shutdown_; }
 
-  /// The unit-row ingestion source queries run against (exposed so
-  /// embedders and tests can reach the underlying fleet).
-  ShardedSketchSource& source() { return source_; }
+  /// The counts scope's unit-row source, booted if needed (embedders and
+  /// tests reach the fleet here). Writers only: CHECK-fails on a replica.
+  ShardedSketchSource& source();
 
-  /// Current counters (same numbers a STATS request reports).
+  /// Current counters (same numbers a STATS request reports); boots no
+  /// scope.
   StatsResponse Stats();
 
  private:
-  // The opcode switch HandleRequest wraps with telemetry (per-opcode
-  // request count, latency histogram, slow-request hook).
-  std::string Dispatch(const RequestHeader& header,
-                       wire::VarintReader& reader);
-  std::string HandleIngestBatch(const RequestHeader& header,
-                                wire::VarintReader& reader);
-  std::string HandleQuerySum(const RequestHeader& header,
-                             wire::VarintReader& reader);
-  std::string HandleQueryTopK(const RequestHeader& header,
-                              wire::VarintReader& reader);
-  std::string HandleQueryGroupBy(const RequestHeader& header,
-                                 wire::VarintReader& reader);
-  std::string HandleSnapshot(const RequestHeader& header,
-                             wire::VarintReader& reader);
-  std::string HandleRestore(const RequestHeader& header,
-                            wire::VarintReader& reader);
-  std::string HandleMetrics(const RequestHeader& header,
-                            wire::VarintReader& reader);
-  std::string HandleTrace(const RequestHeader& header,
-                          wire::VarintReader& reader);
+  // Vets the options and applies the trace sampling policy.
+  void Configure();
 
-  // The single error-response chokepoint: bumps the total and
-  // per-status error counters (STATS) and the labeled obs series, then
-  // encodes the header-only error response.
-  std::string Fail(Opcode opcode, uint64_t request_id, Status status);
+  // The opcode switch HandleRequest wraps with telemetry and the error
+  // path. Each returns kOk with request `id`'s response in `out`, or the
+  // Status of the error response.
+  Status Dispatch(Opcode opcode, uint64_t id, wire::VarintReader& in,
+                  std::string* out);
+  Status HandleIngest(uint64_t id, wire::VarintReader& in, std::string* out);
+  Status HandleSum(uint64_t id, wire::VarintReader& in, std::string* out);
+  Status HandleTopK(uint64_t id, wire::VarintReader& in, std::string* out);
+  Status HandleGroupBy(uint64_t id, wire::VarintReader& in, std::string* out);
+  Status HandleSnapshot(uint64_t id, wire::VarintReader& in, std::string* out);
+  Status HandleRestore(uint64_t id, wire::VarintReader& in, std::string* out);
 
-  // Lazily boots the weighted fleet (first weighted ingest/restore).
-  ShardedWeightedSpaceSaving& Weighted();
+  // The scope for requests naming `scope`. The one boot rule: an empty
+  // slot with a factory builds its scope here, on first use; a slot with
+  // neither answers through `unsupported_`.
+  Scope& Lookup(QueryScope scope);
 
-  // Merged weighted view, recomputed when the fleet ingested since the
-  // last call (mirrors ShardedSketchSource's snapshot cache).
-  const WeightedSpaceSaving& WeightedView();
-
-  // Lazily boots the windowed source + engine (first windowed
-  // ingest/query/restore); the source caches its own merged views.
-  WindowedSketchSource& Window();
-  SketchQueryEngine& WindowEngine();
-
-  // Builds a Predicate from `spec`, validating dimensions. Returns
   // kOk, kMalformed (bad dim), or kUnsupported (no attribute table).
   Status BuildPredicate(const PredicateSpec& spec, Predicate* out) const;
 
-  // Advances the windowed scope's epoch by `ticks` elapsed timer
-  // intervals (boots the windowed fleet on the first tick). Saturates
-  // at kMaxEpochStamp — a long-lived timer or a hostile near-cap stamp
-  // stops the clock instead of crashing the serve loop.
-  void TickEpochs(uint64_t ticks);
-
-  // Stand-in table for attribute-less deployments (the engine requires a
-  // non-null table; attribute-touching queries are gated on attrs_).
-  static const AttributeTable kEmptyAttrs;
-
   SketchServerOptions options_;
   const AttributeTable* attrs_;
-  ShardedSketchSource source_;
-  SketchQueryEngine engine_;
-  // Replica mode (see the replica constructor): borrowed image source
-  // plus a zero-decode engine over it; both null for writer servers.
-  FrozenSketchSource* replica_ = nullptr;
-  std::unique_ptr<SketchQueryEngine> replica_engine_;
-  std::unique_ptr<ShardedWeightedSpaceSaving> weighted_;
-  WeightedSpaceSaving weighted_view_;
-  std::unique_ptr<WindowedSketchSource> window_source_;
-  std::unique_ptr<SketchQueryEngine> window_engine_;
-  bool weighted_dirty_ = false;
+  // The scope table, indexed by QueryScope, and the writer factories
+  // that fill it (all null on a replica).
+  std::array<std::unique_ptr<Scope>, kNumQueryScopes> scopes_;
+  std::array<ScopeFactory, kNumQueryScopes> boot_{};
+  Scope unsupported_;
   bool shutdown_ = false;
-  // Set when the constructor applied this server's sampling knobs to
-  // the process-global TraceCollector; the destructor then restores the
-  // policy saved here.
+  // Set when the constructor replaced the global trace policy; the
+  // destructor restores the one saved here.
   bool configured_tracing_ = false;
   obs::TraceConfig saved_trace_config_;
-
-  struct Counters {
-    uint64_t rows_ingested = 0;
-    uint64_t weighted_rows_ingested = 0;
-    uint64_t windowed_rows_ingested = 0;
-    uint64_t batches = 0;
-    uint64_t queries = 0;
-    uint64_t snapshots = 0;
-    uint64_t restores = 0;
-    uint64_t errors = 0;
-    uint64_t errors_malformed = 0;
-    uint64_t errors_unknown_opcode = 0;
-    uint64_t errors_unsupported = 0;
-    uint64_t errors_too_large = 0;
-    uint64_t errors_bad_state = 0;
-    SnapshotFormat last_snapshot_format = SnapshotFormat::kNone;
-    uint64_t last_snapshot_bytes = 0;
-    SnapshotFormat last_restore_format = SnapshotFormat::kNone;
-    uint64_t last_restore_bytes = 0;
-  };
-  Counters counters_;
+  // The STATS fields the handlers count (batches, queries, snapshots,
+  // restores, last_*); Stats() fills in the rest.
+  StatsResponse counters_;
+  std::array<uint64_t, kNumStatuses> errors_{};  // indexed by Status
 };
 
 }  // namespace dsketch

@@ -140,6 +140,17 @@ TEST(DeathTest, ServerVetsWindowConfigAtStartup) {
   SketchServerOptions big_merged;
   big_merged.merged_capacity = static_cast<size_t>(kMaxSerializableCapacity) + 1;
   EXPECT_DEATH(SketchServer{big_merged}, "CHECK failed");
+  // Every shard fleet boots on its scope's first request, so the shard
+  // options are vetted up front too.
+  SketchServerOptions no_shards;
+  no_shards.shard.num_shards = 0;
+  EXPECT_DEATH(SketchServer{no_shards}, "CHECK failed");
+  SketchServerOptions no_bins;
+  no_bins.shard.shard_capacity = 0;
+  EXPECT_DEATH(SketchServer{no_bins}, "CHECK failed");
+  SketchServerOptions no_batch;
+  no_batch.shard.batch_size = 0;
+  EXPECT_DEATH(SketchServer{no_batch}, "CHECK failed");
 }
 
 TEST(DeathTest, WindowedSourceRejectsStampsPastTheClockCap) {

@@ -7,10 +7,15 @@
 // snapshot entry, the same contract sharded_sketch_test pins for
 // IngestSerialized).
 
+#include <dirent.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -858,6 +863,71 @@ TEST(ServiceSlowRequestTest, HookFiresWithTheRequestShape) {
   SketchServer quiet_server(quiet);
   quiet_server.HandleRequest(request);
   EXPECT_TRUE(quiet_calls.empty());
+}
+
+// ---- shard threads start with their fleet ----
+
+// Entries of /proc/self/task; 0 where the directory does not exist.
+size_t ThreadCount() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  size_t n = 0;
+  while (const dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] != '.') ++n;
+  }
+  closedir(dir);
+  return n;
+}
+
+// ThreadCount() once it holds still: a thread an earlier test joined can
+// linger in /proc/self/task for a moment after the join returns.
+size_t SettledThreadCount() {
+  size_t n = ThreadCount();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const size_t again = ThreadCount();
+    if (again == n) return n;
+    n = again;
+  }
+  return n;
+}
+
+TEST(ServiceThreadTest, FleetsStartTheirShardThreadsOnFirstUse) {
+  const size_t base = SettledThreadCount();
+  if (base == 0) GTEST_SKIP() << "no /proc/self/task";
+  const SketchServerOptions options = SmallServerOptions();
+  const size_t shards = options.shard.num_shards;
+
+  SketchServer writer(options);
+  EXPECT_EQ(ThreadCount(), base) << "a fresh writer";
+  writer.HandleRequest(EncodeStatsRequest(1));
+  EXPECT_EQ(ThreadCount(), base) << "a writer that only answered STATS";
+  IngestBatchRequest rows;
+  rows.items = {1, 2, 3};
+  ASSERT_EQ(ResponseStatusOf(
+                writer.HandleRequest(EncodeIngestBatchRequest(2, rows))),
+            Status::kOk);
+  EXPECT_EQ(ThreadCount(), base + shards) << "after the first counts ingest";
+  writer.HandleRequest(EncodeIngestBatchRequest(3, rows));
+  EXPECT_EQ(ThreadCount(), base + shards) << "after the second";
+  rows.windowed = true;
+  ASSERT_EQ(ResponseStatusOf(
+                writer.HandleRequest(EncodeIngestBatchRequest(4, rows))),
+            Status::kOk);
+  EXPECT_EQ(ThreadCount(), base + 2 * shards)
+      << "after the first windowed ingest";
+
+  UnbiasedSpaceSaving sketch(64, 3);
+  for (uint64_t i = 0; i < 500; ++i) sketch.Update(i % 20);
+  std::optional<FrozenSketchSource> image =
+      FrozenSketchSource::FromBlob(SerializeFrozen(sketch));
+  ASSERT_TRUE(image.has_value());
+  SketchServer replica(options, &*image, nullptr);
+  replica.HandleRequest(EncodeIngestBatchRequest(5, rows));
+  QuerySumRequest sum;
+  replica.HandleRequest(EncodeQuerySumRequest(6, sum));
+  replica.HandleRequest(EncodeStatsRequest(7));
+  EXPECT_EQ(ThreadCount(), base + 2 * shards) << "a replica starts none";
 }
 
 // ---- golden service transcript ----
