@@ -93,7 +93,7 @@ int RunSmoke(double s) {
     return 1;
   }
   std::optional<FrozenSketchSource> source =
-      FrozenSketchSource::FromBlob(image, 3);
+      FrozenSketchSource::FromBlob(image);
   if (!source.has_value() || !source->Validate()) {
     std::fprintf(stderr, "smoke: FAILED — frozen image vet/validate\n");
     return 1;

@@ -850,7 +850,7 @@ std::optional<UnbiasedSpaceSaving> DeserializeUnbiased(std::string_view bytes,
                                                        uint64_t seed) {
   // A frozen image is the same logical sketch under a different kind
   // byte; accepting it here means every unbiased restore path (snapshot
-  // RESTORE, CombineSerialized, PlainSketchSource) takes frozen inputs.
+  // RESTORE, CombineSerialized, ShardedSketchSource) takes frozen inputs.
   {
     VarintReader reader(bytes);
     std::optional<wire::Envelope> env = wire::ReadEnvelope(reader);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/serialization.h"
 #include "util/logging.h"
 
 namespace dsketch {
@@ -28,9 +27,9 @@ SketchQueryEngine::SketchQueryEngine(WindowedSketchSource* source,
   DSKETCH_CHECK(source != nullptr && attrs != nullptr);
 }
 
-SketchQueryEngine::SketchQueryEngine(FrozenSketchSource* source,
+SketchQueryEngine::SketchQueryEngine(const FrozenSketchSource* source,
                                      const AttributeTable* attrs)
-    : sketch_(nullptr), source_(source), window_source_(nullptr),
+    : sketch_(nullptr), source_(nullptr), window_source_(nullptr),
       frozen_(source != nullptr ? &source->frozen() : nullptr),
       attrs_(attrs) {
   DSKETCH_CHECK(source != nullptr && attrs != nullptr);
@@ -38,20 +37,6 @@ SketchQueryEngine::SketchQueryEngine(FrozenSketchSource* source,
 
 const UnbiasedSpaceSaving& SketchQueryEngine::QuerySketch() const {
   return source_ != nullptr ? source_->View() : *sketch_;
-}
-
-const UnbiasedSpaceSaving& SketchQueryEngine::WindowSketch(
-    size_t last_k) const {
-  DSKETCH_CHECK(window_source_ != nullptr);
-  return window_source_->WindowView(last_k);
-}
-
-std::string SketchQueryEngine::SaveState() const {
-  return source_ != nullptr ? source_->SaveSnapshot() : Serialize(*sketch_);
-}
-
-bool SketchQueryEngine::RestoreState(std::string_view bytes) {
-  return source_ != nullptr && source_->RestoreSnapshot(bytes);
 }
 
 SubsetSumEstimate SketchQueryEngine::Sum(const Predicate& where) const {
@@ -76,55 +61,34 @@ SubsetSumEstimate SketchQueryEngine::Sum(const Predicate& where) const {
 
 template <typename KeyFn>
 std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupByImpl(
-    const UnbiasedSpaceSaving& sketch, const Predicate& where,
-    KeyFn&& key_of) const {
+    const Predicate& where, KeyFn&& key_of) const {
   struct Acc {
     double sum = 0.0;
     uint64_t items = 0;
   };
   std::unordered_map<uint64_t, Acc> acc;
-  for (const SketchEntry& e : sketch.Entries()) {
+  auto add = [&](uint64_t item, int64_t count) {
     // Items the table does not describe belong to no group.
-    if (e.item >= attrs_->num_items()) continue;
-    if (!where.Matches(*attrs_, e.item)) continue;
-    Acc& a = acc[key_of(e.item)];
-    a.sum += static_cast<double>(e.count);
+    if (item >= attrs_->num_items()) return;
+    if (!where.Matches(*attrs_, item)) return;
+    Acc& a = acc[key_of(item)];
+    a.sum += static_cast<double>(count);
     ++a.items;
-  }
-  double nmin = static_cast<double>(sketch.MinCount());
-  std::unordered_map<uint64_t, SubsetSumEstimate> out;
-  out.reserve(acc.size());
-  for (const auto& [key, a] : acc) {
-    SubsetSumEstimate est;
-    est.estimate = a.sum;
-    est.items_in_sample = a.items;
-    est.variance =
-        nmin * nmin * static_cast<double>(std::max<uint64_t>(1, a.items));
-    out.emplace(key, est);
-  }
-  return out;
-}
-
-template <typename KeyFn>
-std::unordered_map<uint64_t, SubsetSumEstimate>
-SketchQueryEngine::FrozenGroupByImpl(const Predicate& where,
-                                     KeyFn&& key_of) const {
-  struct Acc {
-    double sum = 0.0;
-    uint64_t items = 0;
   };
-  std::unordered_map<uint64_t, Acc> acc;
-  const size_t n = static_cast<size_t>(frozen_->entry_count());
-  for (size_t i = 0; i < n; ++i) {
-    const wire::FrozenEntry e = frozen_->entry(i);
-    // Items the table does not describe belong to no group.
-    if (e.item >= attrs_->num_items()) continue;
-    if (!where.Matches(*attrs_, e.item)) continue;
-    Acc& a = acc[key_of(e.item)];
-    a.sum += static_cast<double>(e.count);
-    ++a.items;
+  int64_t min_count;
+  if (frozen_ != nullptr) {
+    const size_t n = static_cast<size_t>(frozen_->entry_count());
+    for (size_t i = 0; i < n; ++i) {
+      const wire::FrozenEntry e = frozen_->entry(i);
+      add(e.item, e.count);
+    }
+    min_count = frozen_->min_count();
+  } else {
+    const UnbiasedSpaceSaving& sketch = QuerySketch();
+    for (const SketchEntry& e : sketch.Entries()) add(e.item, e.count);
+    min_count = sketch.MinCount();
   }
-  double nmin = static_cast<double>(frozen_->min_count());
+  const double nmin = static_cast<double>(min_count);
   std::unordered_map<uint64_t, SubsetSumEstimate> out;
   out.reserve(acc.size());
   for (const auto& [key, a] : acc) {
@@ -158,10 +122,7 @@ std::unordered_map<uint32_t, SubsetSumEstimate> SketchQueryEngine::GroupBy1(
   auto key_of = [&](uint64_t item) {
     return static_cast<uint64_t>(attrs_->Get(item, dim));
   };
-  if (frozen_ != nullptr) {
-    return NarrowKeys(FrozenGroupByImpl(where, key_of));
-  }
-  return NarrowKeys(GroupByImpl(QuerySketch(), where, key_of));
+  return NarrowKeys(GroupByImpl(where, key_of));
 }
 
 std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupBy2(
@@ -169,32 +130,16 @@ std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupBy2(
   auto key_of = [&](uint64_t item) {
     return PackGroupKey(attrs_->Get(item, d1), attrs_->Get(item, d2));
   };
-  if (frozen_ != nullptr) return FrozenGroupByImpl(where, key_of);
-  return GroupByImpl(QuerySketch(), where, key_of);
+  return GroupByImpl(where, key_of);
 }
 
 SubsetSumEstimate SketchQueryEngine::SumWindow(size_t last_k,
                                                const Predicate& where) const {
-  return EstimateSubsetSum(WindowSketch(last_k), [&](uint64_t item) {
-    return where.Matches(*attrs_, item);
-  });
-}
-
-std::unordered_map<uint32_t, SubsetSumEstimate>
-SketchQueryEngine::GroupBy1Window(size_t last_k, size_t dim,
-                                  const Predicate& where) const {
-  return NarrowKeys(
-      GroupByImpl(WindowSketch(last_k), where, [&](uint64_t item) {
-        return static_cast<uint64_t>(attrs_->Get(item, dim));
-      }));
-}
-
-std::unordered_map<uint64_t, SubsetSumEstimate>
-SketchQueryEngine::GroupBy2Window(size_t last_k, size_t d1, size_t d2,
-                                  const Predicate& where) const {
-  return GroupByImpl(WindowSketch(last_k), where, [&](uint64_t item) {
-    return PackGroupKey(attrs_->Get(item, d1), attrs_->Get(item, d2));
-  });
+  DSKETCH_CHECK(window_source_ != nullptr);
+  return EstimateSubsetSum(window_source_->WindowView(last_k),
+                           [&](uint64_t item) {
+                             return where.Matches(*attrs_, item);
+                           });
 }
 
 ExactQueryEngine::ExactQueryEngine(const ExactAggregator* agg,

@@ -12,8 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -41,21 +39,22 @@ class SketchQueryEngine {
   SketchQueryEngine(const UnbiasedSpaceSaving* sketch,
                     const AttributeTable* attrs);
 
-  /// Engine over any ingestion source (plain or sharded); queries run
-  /// against source->View(), so they always see all flushed rows. Both
-  /// pointers must outlive the engine.
+  /// Engine over a live source (sharded or windowed); queries run
+  /// against source->View(), so they always see every ingested row.
+  /// Both pointers must outlive the engine.
   SketchQueryEngine(SketchSource* source, const AttributeTable* attrs);
 
-  /// Engine over a windowed source: plain queries see the full-window
-  /// merge (the source's View), and the *Window variants below scope to
-  /// the newest last_k epochs. Both pointers must outlive the engine.
+  /// Engine over a windowed source: Sum / GroupBy see the full-window
+  /// merge (the source's View), and SumWindow scopes to the newest
+  /// last_k epochs. Both pointers must outlive the engine.
   SketchQueryEngine(WindowedSketchSource* source, const AttributeTable* attrs);
 
   /// Engine over a frozen image (read replica): Sum / GroupBy run
   /// straight off the image — zero decode, answers bit-identical to an
   /// engine over the thawed sketch. Both pointers must outlive the
   /// engine.
-  SketchQueryEngine(FrozenSketchSource* source, const AttributeTable* attrs);
+  SketchQueryEngine(const FrozenSketchSource* source,
+                    const AttributeTable* attrs);
 
   /// SELECT sum(1) WHERE `where`.
   SubsetSumEstimate Sum(const Predicate& where) const;
@@ -73,54 +72,23 @@ class SketchQueryEngine {
   SubsetSumEstimate SumWindow(size_t last_k,
                               const Predicate& where = Predicate()) const;
 
-  /// 1-way group-by over the newest `last_k` epochs.
-  std::unordered_map<uint32_t, SubsetSumEstimate> GroupBy1Window(
-      size_t last_k, size_t dim, const Predicate& where = Predicate()) const;
-
-  /// 2-way group-by over the newest `last_k` epochs.
-  std::unordered_map<uint64_t, SubsetSumEstimate> GroupBy2Window(
-      size_t last_k, size_t d1, size_t d2,
-      const Predicate& where = Predicate()) const;
-
-  /// True when the engine was built over a windowed source (the
-  /// *Window queries are available).
-  bool windowed() const { return window_source_ != nullptr; }
-
-  /// Serializes the engine's sketch state (wire format, current
-  /// version); restorable into another engine with RestoreState.
-  std::string SaveState() const;
-
-  /// Absorbs saved state into the engine's source (any supported wire
-  /// version). Returns false when the engine wraps a borrowed const
-  /// sketch (no source to restore into) or the bytes are malformed.
-  bool RestoreState(std::string_view bytes);
-
  private:
-  // The sketch queries run against: `sketch_` when constructed from a
-  // plain sketch, otherwise `source_->View()` resolved per query.
+  // The live sketch queries run against: `sketch_` when constructed from
+  // a borrowed sketch, otherwise `source_->View()` resolved per query.
   const UnbiasedSpaceSaving& QuerySketch() const;
 
-  // The last_k-scoped merge (CHECKs that the engine is windowed).
-  const UnbiasedSpaceSaving& WindowSketch(size_t last_k) const;
-
-  // Shared group-by body over an explicit sketch view.
+  // The one group-by body. Walks the frozen image's entries when there
+  // is one, else the live view's, and accumulates both alike, so frozen
+  // answers are bit-identical to thawed ones.
   template <typename KeyFn>
   std::unordered_map<uint64_t, SubsetSumEstimate> GroupByImpl(
-      const UnbiasedSpaceSaving& sketch, const Predicate& where,
-      KeyFn&& key_of) const;
-
-  // GroupByImpl mirrored over the frozen image (same accumulation, same
-  // variance arithmetic, entry-for-entry the same iteration order), so
-  // frozen answers are bit-identical to thawed ones.
-  template <typename KeyFn>
-  std::unordered_map<uint64_t, SubsetSumEstimate> FrozenGroupByImpl(
       const Predicate& where, KeyFn&& key_of) const;
 
   const UnbiasedSpaceSaving* sketch_;
   SketchSource* source_;
   WindowedSketchSource* window_source_;
-  // Set for the frozen constructor: Sum / GroupBy bypass QuerySketch()
-  // and read the image directly.
+  // Set for the frozen constructor: Sum / GroupBy read the image
+  // directly instead of a live sketch.
   const wire::FrozenView* frozen_;
   const AttributeTable* attrs_;
 };

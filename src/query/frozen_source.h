@@ -1,20 +1,16 @@
-// Read-replica ingestion front: a SketchSource over a frozen image
-// (wire/frozen.h) that was mmap'd from disk or borrowed from a peer's
-// SNAPSHOT response.
+// Read-replica image: a frozen sketch (wire/frozen.h) mmap'd from disk
+// or borrowed from a peer's SNAPSHOT response.
 //
 // Construction is O(1): the image is structurally vetted, never parsed.
-// SketchQueryEngine recognizes this source and serves SUM / TOPK /
-// GROUPBY straight off the image — zero decode, answers bit-identical
-// to the thawed sketch. The SketchSource surface degrades to read-only:
-// Ingest CHECK-fails (a replica never ingests; route writes to a
-// writer node), RestoreSnapshot returns false, and SaveSnapshot returns
-// the image itself, so replicas re-serve their snapshot for free.
+// SketchQueryEngine serves SUM / GROUPBY straight off the image and
+// FrozenTopK serves TOPK — zero decode, answers bit-identical to the
+// thawed sketch. A replica never ingests or restores; its snapshot is
+// the image itself, so replicas re-serve it for free.
 //
-// View() is the compatibility escape hatch for code that needs a live
-// sketch: it thaws once (O(n)) and caches. Thaw CHECK-fails on images
-// whose *content* is malformed (structural vetting cannot see that);
-// servers exposed to untrusted images call Validate() once instead and
-// refuse the paths that would thaw.
+// Structural vetting cannot see malformed *content* (e.g. a total that
+// disagrees with the entries). Validate() runs the full O(n) check that
+// thawing would, so a server fed an untrusted image can refuse it at
+// startup instead of serving wrong answers.
 
 #ifndef DSKETCH_QUERY_FROZEN_SOURCE_H_
 #define DSKETCH_QUERY_FROZEN_SOURCE_H_
@@ -29,33 +25,29 @@
 
 #include "core/serialization.h"
 #include "core/sketch_entry.h"
-#include "query/sketch_source.h"
 #include "util/logging.h"
 #include "util/mmap_array.h"
 #include "wire/frozen.h"
 
 namespace dsketch {
 
-/// SketchSource over a frozen image (borrowed, adopted, or mmap'd).
-class FrozenSketchSource : public SketchSource {
+/// A vetted frozen image (borrowed, adopted, or mmap'd).
+class FrozenSketchSource {
  public:
   /// Over borrowed bytes, which must outlive the source. O(1) vetting
   /// only; nullopt when the bytes are not a structurally valid image.
-  static std::optional<FrozenSketchSource> FromBytes(std::string_view bytes,
-                                                     uint64_t seed = 1) {
+  static std::optional<FrozenSketchSource> FromBytes(std::string_view bytes) {
     std::optional<wire::FrozenView> view = wire::FrozenView::Vet(bytes);
     if (!view.has_value()) return std::nullopt;
     FrozenSketchSource out;
     out.view_ = view;
-    out.seed_ = seed;
     return out;
   }
 
   /// Adopts a copy of the blob (e.g. a SNAPSHOT response body).
-  static std::optional<FrozenSketchSource> FromBlob(std::string blob,
-                                                    uint64_t seed = 1) {
+  static std::optional<FrozenSketchSource> FromBlob(std::string blob) {
     auto owned = std::make_shared<std::string>(std::move(blob));
-    std::optional<FrozenSketchSource> out = FromBytes(*owned, seed);
+    std::optional<FrozenSketchSource> out = FromBytes(*owned);
     if (out.has_value()) out->owned_blob_ = std::move(owned);
     return out;
   }
@@ -64,12 +56,11 @@ class FrozenSketchSource : public SketchSource {
   /// read-into-heap elsewhere) and vets the image. The mapping is owned
   /// by the source, so the frozen file serves straight off the page
   /// cache for the source's lifetime.
-  static std::optional<FrozenSketchSource> FromFile(const std::string& path,
-                                                    uint64_t seed = 1) {
+  static std::optional<FrozenSketchSource> FromFile(const std::string& path) {
     std::optional<MappedFile> file = MapFile(path);
     if (!file.has_value()) return std::nullopt;
     auto owned = std::make_shared<MappedFile>(std::move(*file));
-    std::optional<FrozenSketchSource> out = FromBytes(owned->bytes(), seed);
+    std::optional<FrozenSketchSource> out = FromBytes(owned->bytes());
     if (out.has_value()) out->file_ = std::move(owned);
     return out;
   }
@@ -83,39 +74,14 @@ class FrozenSketchSource : public SketchSource {
   }
 
   /// Deep O(n) content validation (everything ThawFrozen checks) without
-  /// keeping the thawed sketch. Servers fed untrusted images call this
-  /// once at startup so the View() escape hatch can never abort later.
+  /// keeping the thawed sketch. The seed only drives the throwaway
+  /// sketch's RNG, so it cannot change the verdict.
   bool Validate() const {
-    return ThawFrozen(view_->bytes(), seed_).has_value();
-  }
-
-  /// Replicas are read-only: rows belong on a writer node.
-  void Ingest(Span<const uint64_t> items) override {
-    (void)items;
-    DSKETCH_CHECK(false && "FrozenSketchSource is read-only");
-  }
-
-  /// Thaws once (O(n)) and caches — the compatibility path for code
-  /// that needs a live sketch (e.g. re-encoding as v2). CHECK-fails on
-  /// content-malformed images; see Validate().
-  const UnbiasedSpaceSaving& View() override {
-    if (thawed_ == nullptr) {
-      std::optional<UnbiasedSpaceSaving> thawed =
-          ThawFrozen(view_->bytes(), seed_);
-      DSKETCH_CHECK(thawed.has_value());
-      thawed_ = std::make_shared<UnbiasedSpaceSaving>(std::move(*thawed));
-    }
-    return *thawed_;
+    return ThawFrozen(view_->bytes(), /*seed=*/1).has_value();
   }
 
   /// The snapshot of a frozen replica is the image itself (no re-encode).
-  std::string SaveSnapshot() override { return std::string(view_->bytes()); }
-
-  /// Read-only: nothing restores into a frozen view.
-  bool RestoreSnapshot(std::string_view bytes) override {
-    (void)bytes;
-    return false;
-  }
+  std::string SaveSnapshot() const { return std::string(view_->bytes()); }
 
  private:
   FrozenSketchSource() = default;
@@ -123,12 +89,10 @@ class FrozenSketchSource : public SketchSource {
   // Always engaged once a factory succeeds (optional because only Vet
   // can produce a FrozenView).
   std::optional<wire::FrozenView> view_;
-  uint64_t seed_ = 1;
   // Exactly one of these owns the bytes; both empty for borrowed bytes.
   // shared_ptr keeps the source copyable (the view is just a pointer).
   std::shared_ptr<const std::string> owned_blob_;
   std::shared_ptr<const MappedFile> file_;
-  std::shared_ptr<UnbiasedSpaceSaving> thawed_;
 };
 
 /// Top-k of a frozen image without decoding: the image stores entries in

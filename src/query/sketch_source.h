@@ -1,16 +1,19 @@
-// One ingestion interface in front of the approximate query engine.
+// The live sketch the approximate query engine reads.
 //
-// Callers feed disaggregated rows through SketchSource::Ingest and query
-// through SketchQueryEngine; whether the rows land in a single in-process
-// Unbiased Space Saving sketch or fan out across the sharded concurrent
-// front-end (shard/sharded_sketch.h) is a deployment choice the query
-// layer no longer cares about. Both implementations expose the stream as
-// an UnbiasedSpaceSaving view, so every estimator downstream of the
-// engine (subset sums, variances, CIs, top-k) behaves identically.
+// SketchSource is the one thing SketchQueryEngine needs from whatever
+// holds the stream: View(), an UnbiasedSpaceSaving over every row
+// ingested so far. Every estimator downstream of the engine (subset
+// sums, variances, CIs, top-k) runs on that view, so it behaves the same
+// whichever source produced it.
 //
-// Sources also save/restore state as wire-format bytes (SaveSnapshot /
-// RestoreSnapshot), so engine state survives process restarts and
-// replicates between deployments — including across wire versions.
+// ShardedSketchSource fans rows out across the concurrent shard fleet
+// (shard/sharded_sketch.h) and merges the shards for View().
+// WindowedSketchSource (query/windowed_source.h) keeps an epoch ring and
+// serves the full-window merge. Each also saves and restores its state
+// as wire-format bytes (SaveSnapshot / RestoreSnapshot), so state
+// survives restarts and replicates between nodes across wire versions.
+// A read replica's frozen image is not a source: the engine reads it
+// directly (query/frozen_source.h).
 
 #ifndef DSKETCH_QUERY_SKETCH_SOURCE_H_
 #define DSKETCH_QUERY_SKETCH_SOURCE_H_
@@ -19,9 +22,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 
-#include "core/merge.h"
 #include "core/serialization.h"
 #include "core/unbiased_space_saving.h"
 #include "shard/sharded_sketch.h"
@@ -29,74 +30,21 @@
 
 namespace dsketch {
 
-/// Uniform batched-ingestion front for the query engine.
+/// What the query engine reads from a live ingestion front.
 class SketchSource {
  public:
-  virtual ~SketchSource() = default;
-
-  /// Feeds a batch of disaggregated rows (unit-of-analysis labels).
-  virtual void Ingest(Span<const uint64_t> items) = 0;
-
-  /// Blocks until all ingested rows are reflected in View().
-  virtual void Flush() {}
-
-  /// Sketch over everything ingested so far. The reference stays valid
-  /// until the next Ingest/Flush call on this source.
+  /// Sketch over everything ingested so far, pending rows included. The
+  /// reference stays valid until the source's next mutating call.
   virtual const UnbiasedSpaceSaving& View() = 0;
 
-  /// Serializes the source's state (wire format, current version):
-  /// flushes, then encodes View(). The bytes restore through
-  /// RestoreSnapshot on the same kind of source (sources with richer
-  /// state — e.g. the windowed epoch ring — override this to ship it).
-  virtual std::string SaveSnapshot() {
-    Flush();
-    return Serialize(View());
-  }
-
-  /// Absorbs a serialized snapshot (any supported wire version) into
-  /// this source's state, merging with whatever was already ingested; on
-  /// a fresh source this restores the saved estimates exactly. Returns
-  /// false — leaving the state untouched — on malformed bytes.
-  virtual bool RestoreSnapshot(std::string_view bytes) = 0;
-};
-
-/// Single-threaded source: rows go straight into one sketch via the
-/// batched update path.
-class PlainSketchSource : public SketchSource {
- public:
-  /// Sketch with `capacity` bins; `seed` makes runs reproducible.
-  explicit PlainSketchSource(size_t capacity, uint64_t seed = 1)
-      : sketch_(capacity, seed), seed_(seed) {}
-
-  void Ingest(Span<const uint64_t> items) override {
-    sketch_.UpdateBatch(items);
-  }
-
-  const UnbiasedSpaceSaving& View() override { return sketch_; }
-
-  /// Fresh source: adopts the decoded sketch verbatim (exact restore,
-  /// capacity taken from the bytes). Non-empty source: unbiased-merges
-  /// the decoded entries in at the current capacity.
-  bool RestoreSnapshot(std::string_view bytes) override {
-    std::optional<UnbiasedSpaceSaving> restored =
-        DeserializeUnbiased(bytes, seed_ + 1);
-    if (!restored.has_value()) return false;
-    if (sketch_.TotalCount() == 0) {
-      sketch_ = std::move(*restored);
-    } else {
-      sketch_ = Merge(sketch_, *restored, sketch_.capacity(), seed_ + 2);
-    }
-    return true;
-  }
-
- private:
-  UnbiasedSpaceSaving sketch_;
-  uint64_t seed_;
+ protected:
+  // Sources are owned by their concrete type, never deleted through this.
+  ~SketchSource() = default;
 };
 
 /// Concurrent source: rows fan out across a ShardedSketch; View() merges
 /// the shards with the unbiased reduction (cached until the next Ingest).
-class ShardedSketchSource : public SketchSource {
+class ShardedSketchSource final : public SketchSource {
  public:
   /// `options` configures the shard fleet; View() merges into a sketch
   /// with `merged_capacity` bins using `merge_seed` (deterministic given
@@ -108,13 +56,17 @@ class ShardedSketchSource : public SketchSource {
         merge_seed_(merge_seed),
         snapshot_(merged_capacity, merge_seed) {}
 
-  void Ingest(Span<const uint64_t> items) override {
+  /// Feeds a batch of disaggregated rows (unit-of-analysis labels).
+  void Ingest(Span<const uint64_t> items) {
     sharded_.Ingest(items);
     dirty_ = true;
   }
 
-  void Flush() override { sharded_.Flush(); }
+  /// Blocks until every ingested row has reached its shard sketch.
+  void Flush() { sharded_.Flush(); }
 
+  /// Re-merges the shards (flushing them first) only after an Ingest or
+  /// RestoreSnapshot; otherwise returns the cached merge.
   const UnbiasedSpaceSaving& View() override {
     if (dirty_) {
       snapshot_ = sharded_.Snapshot(merged_capacity_, merge_seed_);
@@ -123,10 +75,14 @@ class ShardedSketchSource : public SketchSource {
     return snapshot_;
   }
 
-  /// Routes the snapshot into the shard fleet as an absorbed remote
-  /// sketch (ShardedSketch::IngestSerialized); the next View() merges it
-  /// with the locally ingested rows.
-  bool RestoreSnapshot(std::string_view bytes) override {
+  /// View() in the current wire format; restorable with RestoreSnapshot.
+  std::string SaveSnapshot() { return Serialize(View()); }
+
+  /// Routes a serialized sketch (any supported wire version) into the
+  /// shard fleet as an absorbed remote sketch; the next View() merges it
+  /// with the locally ingested rows. Returns false — leaving the state
+  /// untouched — on malformed bytes.
+  bool RestoreSnapshot(std::string_view bytes) {
     if (!sharded_.IngestSerialized(bytes)) return false;
     dirty_ = true;
     return true;

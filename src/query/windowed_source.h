@@ -35,7 +35,7 @@
 namespace dsketch {
 
 /// Sharded windowed source. Single producer, like every source.
-class WindowedSketchSource : public SketchSource {
+class WindowedSketchSource final : public SketchSource {
  public:
   /// `shard` configures the fleet, `window` the per-shard epoch rings;
   /// View()/window queries merge at `window.merged_capacity` bins.
@@ -46,7 +46,7 @@ class WindowedSketchSource : public SketchSource {
         seed_(shard.seed) {}
 
   /// Rows stamped with the current producer epoch.
-  void Ingest(Span<const uint64_t> items) override {
+  void Ingest(Span<const uint64_t> items) {
     staging_.clear();
     staging_.reserve(items.size());
     for (uint64_t item : items) staging_.push_back({item, epoch_});
@@ -83,7 +83,7 @@ class WindowedSketchSource : public SketchSource {
     }
   }
 
-  void Flush() override { sharded_->Flush(); }
+  void Flush() { sharded_->Flush(); }
 
   /// Merged view over the full window (the ring's W newest epochs).
   const UnbiasedSpaceSaving& View() override {
@@ -158,7 +158,7 @@ class WindowedSketchSource : public SketchSource {
   }
 
   /// Ships the full epoch ring (window-snapshot wire kind).
-  std::string SaveSnapshot() override {
+  std::string SaveSnapshot() {
     return SerializeWindowed(MergedRing());
   }
 
@@ -167,7 +167,7 @@ class WindowedSketchSource : public SketchSource {
   /// producer epoch to its newest epoch — otherwise rows ingested after
   /// the restore would be stamped with the stale clock and fall outside
   /// the merged window. False on malformed bytes.
-  bool RestoreSnapshot(std::string_view bytes) override {
+  bool RestoreSnapshot(std::string_view bytes) {
     if (!sharded_->IngestSerialized(bytes)) return false;
     MarkDirty();
     // Peeked off the slot headers, not read from a merged view — a

@@ -73,8 +73,8 @@ class CountsScope : public Scope {
     *out = SumResponse(engine_.Sum(where));
     return Status::kOk;
   }
+  // View() flushes the fleet whenever rows are pending.
   Status TopK(const QueryTopKRequest& req, QueryTopKResponse* out) override {
-    source_.Flush();
     out->counts = dsketch::TopK(source_.View(), static_cast<size_t>(req.k));
     return Status::kOk;
   }
@@ -85,10 +85,7 @@ class CountsScope : public Scope {
   }
   Status Snapshot(bool frozen, std::string* blob,
                   SnapshotFormat* format) override {
-    if (frozen) {
-      source_.Flush();
-      *format = SnapshotFormat::kFrozen;
-    }
+    if (frozen) *format = SnapshotFormat::kFrozen;
     *blob = frozen ? SerializeFrozen(source_.View()) : source_.SaveSnapshot();
     return Status::kOk;
   }
@@ -98,7 +95,6 @@ class CountsScope : public Scope {
     return Status::kOk;
   }
   void FillStats(StatsResponse* out) override {
-    source_.Flush();
     out->rows_ingested = rows_;
     out->total_count = source_.View().TotalCount();
   }

@@ -18,22 +18,11 @@ std::vector<const S*> Pointers(const std::vector<S>& shards) {
 
 }  // namespace
 
-UnbiasedSpaceSaving MergeShards(const std::vector<UnbiasedSpaceSaving>& shards,
-                                size_t capacity, uint64_t seed) {
-  return MergeShards(Pointers(shards), capacity, seed);
-}
-
 UnbiasedSpaceSaving MergeShards(
     const std::vector<const UnbiasedSpaceSaving*>& shards, size_t capacity,
     uint64_t seed) {
   DSKETCH_CHECK(!shards.empty());
   return MergeAll(shards, capacity, seed);
-}
-
-DeterministicSpaceSaving MergeShards(
-    const std::vector<DeterministicSpaceSaving>& shards, size_t capacity,
-    uint64_t seed) {
-  return MergeShards(Pointers(shards), capacity, seed);
 }
 
 WeightedSpaceSaving MergeShards(const std::vector<WeightedSpaceSaving>& shards,
@@ -57,25 +46,6 @@ WeightedSpaceSaving MergeShards(
     if (weight > 0.0) combined.push_back({item, weight});
   }
   return WeightedSketchFromEntries(std::move(combined), capacity, seed);
-}
-
-DeterministicSpaceSaving MergeShards(
-    const std::vector<const DeterministicSpaceSaving*>& shards,
-    size_t capacity, uint64_t seed) {
-  DSKETCH_CHECK(!shards.empty());
-  if (shards.size() == 1) {
-    // Still honor the requested capacity via the soft-threshold reduction.
-    DeterministicSpaceSaving out(capacity, seed);
-    out.core().LoadEntries(
-        ReduceMisraGries(shards.front()->Entries(), capacity));
-    return out;
-  }
-  DeterministicSpaceSaving merged =
-      Merge(*shards[0], *shards[1], capacity, seed);
-  for (size_t i = 2; i < shards.size(); ++i) {
-    merged = Merge(merged, *shards[i], capacity, seed + i);
-  }
-  return merged;
 }
 
 }  // namespace dsketch

@@ -39,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/deterministic_space_saving.h"
 #include "core/serialization.h"
 #include "core/unbiased_space_saving.h"
 #include "core/weighted_space_saving.h"
@@ -80,26 +79,12 @@ inline obs::Histogram& SnapshotMergeUs() {
 }  // namespace shard_metrics
 
 /// Unbiased merge of per-shard sketches (single final pairwise-PPS
-/// reduction over all entries, as in MergeAll).
-UnbiasedSpaceSaving MergeShards(const std::vector<UnbiasedSpaceSaving>& shards,
-                                size_t capacity, uint64_t seed);
-
-/// Pointer form of the above (lets callers merge sketches they cannot or
-/// need not copy, e.g. ShardedSketch's absorbed remote snapshots).
+/// reduction over all entries, as in MergeAll). Takes pointers so callers
+/// merge sketches they cannot or need not copy, e.g. ShardedSketch's
+/// absorbed remote snapshots.
 UnbiasedSpaceSaving MergeShards(
     const std::vector<const UnbiasedSpaceSaving*>& shards, size_t capacity,
     uint64_t seed);
-
-/// Misra-Gries style merge of deterministic per-shard sketches (biased,
-/// deterministic-guarantee preserving).
-DeterministicSpaceSaving MergeShards(
-    const std::vector<DeterministicSpaceSaving>& shards, size_t capacity,
-    uint64_t seed);
-
-/// Pointer form of the deterministic merge.
-DeterministicSpaceSaving MergeShards(
-    const std::vector<const DeterministicSpaceSaving*>& shards,
-    size_t capacity, uint64_t seed);
 
 /// Unbiased merge of weighted per-shard sketches (combine duplicate
 /// labels, then one ReducePairwiseWeighted reduction — real-valued

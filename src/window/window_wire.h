@@ -62,8 +62,8 @@ std::optional<WindowedSpaceSaving> DeserializeWindowed(
 std::optional<uint64_t> PeekWindowedNewestEpoch(std::string_view bytes);
 
 /// Wire dispatch so the generic layers (ShardedSketch snapshot
-/// replication, SketchSource save/restore) handle windowed sketches
-/// like any other kind.
+/// replication, and through it WindowedSketchSource::RestoreSnapshot)
+/// handle windowed sketches like any other kind.
 template <>
 struct SketchWire<WindowedSpaceSaving> {
   static std::string Serialize(const WindowedSpaceSaving& s) {

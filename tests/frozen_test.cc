@@ -62,6 +62,17 @@ bool SameEstimate(const SubsetSumEstimate& a, const SubsetSumEstimate& b) {
          a.items_in_sample == b.items_in_sample;
 }
 
+// Same groups, each with a bit-identical estimate.
+template <typename Groups>
+void ExpectSameGroups(const Groups& frozen, const Groups& thawed) {
+  ASSERT_EQ(frozen.size(), thawed.size());
+  for (const auto& [key, est] : frozen) {
+    auto it = thawed.find(key);
+    ASSERT_NE(it, thawed.end()) << key;
+    EXPECT_TRUE(SameEstimate(est, it->second)) << key;
+  }
+}
+
 TEST(FrozenTest, FreezeThawRoundTripPreservesState) {
   UnbiasedSpaceSaving sketch = MakeSketch();
   const std::string image = SerializeFrozen(sketch);
@@ -161,7 +172,7 @@ TEST(FrozenTest, EngineAnswersBitIdenticalOffTheImage) {
   std::optional<UnbiasedSpaceSaving> thawed = ThawFrozen(image, 7);
   ASSERT_TRUE(thawed.has_value());
   std::optional<FrozenSketchSource> source =
-      FrozenSketchSource::FromBlob(image, 7);
+      FrozenSketchSource::FromBlob(image);
   ASSERT_TRUE(source.has_value());
   EXPECT_TRUE(source->Validate());
 
@@ -183,22 +194,29 @@ TEST(FrozenTest, EngineAnswersBitIdenticalOffTheImage) {
   // GROUPBY, one- and two-dimensional.
   Predicate filter;
   filter.WhereIn(1, {0, 2});
-  auto g1_frozen = frozen_engine.GroupBy1(0, filter);
-  auto g1_thawed = thawed_engine.GroupBy1(0, filter);
-  ASSERT_EQ(g1_frozen.size(), g1_thawed.size());
-  for (const auto& [key, est] : g1_frozen) {
-    auto it = g1_thawed.find(key);
-    ASSERT_NE(it, g1_thawed.end()) << key;
-    EXPECT_TRUE(SameEstimate(est, it->second)) << key;
+  ExpectSameGroups(frozen_engine.GroupBy1(0, filter),
+                   thawed_engine.GroupBy1(0, filter));
+  ExpectSameGroups(frozen_engine.GroupBy2(0, 1, Predicate()),
+                   thawed_engine.GroupBy2(0, 1, Predicate()));
+
+  // A table over [0, 120) leaves sampled items undescribed: both paths
+  // must drop them from every group and every filtered sum alike.
+  bool has_undescribed = false;
+  for (const SketchEntry& e : thawed->Entries()) {
+    has_undescribed = has_undescribed || e.item >= 120;
   }
-  auto g2_frozen = frozen_engine.GroupBy2(0, 1, Predicate());
-  auto g2_thawed = thawed_engine.GroupBy2(0, 1, Predicate());
-  ASSERT_EQ(g2_frozen.size(), g2_thawed.size());
-  for (const auto& [key, est] : g2_frozen) {
-    auto it = g2_thawed.find(key);
-    ASSERT_NE(it, g2_thawed.end());
-    EXPECT_TRUE(SameEstimate(est, it->second));
-  }
+  ASSERT_TRUE(has_undescribed);
+  AttributeTable partial = MakeAttrs(120);
+  SketchQueryEngine frozen_partial(&*source, &partial);
+  SketchQueryEngine thawed_partial(&*thawed, &partial);
+  Predicate dim0_is_2;
+  dim0_is_2.WhereEq(0, 2);
+  EXPECT_TRUE(SameEstimate(frozen_partial.Sum(dim0_is_2),
+                           thawed_partial.Sum(dim0_is_2)));
+  ExpectSameGroups(frozen_partial.GroupBy1(0, filter),
+                   thawed_partial.GroupBy1(0, filter));
+  ExpectSameGroups(frozen_partial.GroupBy2(0, 1, Predicate()),
+                   thawed_partial.GroupBy2(0, 1, Predicate()));
 
   // TOPK straight off the image's native order.
   for (size_t k : {size_t{1}, size_t{5}, thawed->size()}) {
@@ -224,7 +242,7 @@ TEST(FrozenTest, FromFileMapsAndAnswers) {
   }
 
   std::optional<FrozenSketchSource> source =
-      FrozenSketchSource::FromFile(path, 7);
+      FrozenSketchSource::FromFile(path);
   ASSERT_TRUE(source.has_value());
   EXPECT_TRUE(source->Validate());
   EXPECT_EQ(std::string(source->frozen().bytes()), image);
@@ -241,7 +259,7 @@ TEST(FrozenTest, FromFileMapsAndAnswers) {
 
   // A missing file is a clean failure, not a crash.
   EXPECT_FALSE(
-      FrozenSketchSource::FromFile("frozen_test_missing.bin", 7).has_value());
+      FrozenSketchSource::FromFile("frozen_test_missing.bin").has_value());
 }
 
 TEST(FrozenTest, CombineSerializedAcceptsFrozenInputs) {
@@ -266,7 +284,7 @@ TEST(FrozenTest, ReplicaServerServesImageReadOnly) {
   UnbiasedSpaceSaving sketch = MakeSketch(32, 100, 3000);
   const std::string image = SerializeFrozen(sketch);
   std::optional<FrozenSketchSource> source =
-      FrozenSketchSource::FromBlob(image, 7);
+      FrozenSketchSource::FromBlob(image);
   ASSERT_TRUE(source.has_value());
 
   SketchServerOptions options;

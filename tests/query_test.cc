@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/serialization.h"
 #include "core/unbiased_space_saving.h"
 #include "query/attribute_table.h"
 #include "query/engine.h"
@@ -121,32 +122,6 @@ TEST(SketchEngineTest, MatchesExactWhenSketchIsExact) {
   }
 }
 
-TEST(SketchEngineTest, PlainSourceMatchesDirectSketch) {
-  // The ingestion interface is a pure indirection: an engine over a
-  // PlainSketchSource must agree bit-for-bit with an engine over a
-  // directly-fed sketch with the same seed.
-  AttributeTable table = SmallTable();
-  std::vector<uint64_t> rows;
-  Rng rng(183);
-  for (int i = 0; i < 2000; ++i) rows.push_back(rng.NextBounded(4));
-
-  UnbiasedSpaceSaving direct(3, 5);
-  for (uint64_t item : rows) direct.Update(item);
-  PlainSketchSource source(3, 5);
-  source.Ingest(rows);
-
-  SketchQueryEngine a(&direct, &table);
-  SketchQueryEngine b(&source, &table);
-  Predicate red = Predicate().WhereEq(0, 0);
-  EXPECT_DOUBLE_EQ(a.Sum(red).estimate, b.Sum(red).estimate);
-  EXPECT_DOUBLE_EQ(a.Sum(red).variance, b.Sum(red).variance);
-  auto ga = a.GroupBy1(1), gb = b.GroupBy1(1);
-  ASSERT_EQ(ga.size(), gb.size());
-  for (const auto& [key, est] : ga) {
-    EXPECT_DOUBLE_EQ(est.estimate, gb[key].estimate);
-  }
-}
-
 TEST(SketchEngineTest, ShardedSourceAnswersTheSameQuerySurface) {
   // Rows fan out across 3 shards; the engine queries the merged snapshot.
   // The totals are preserved exactly through shard + merge, so the
@@ -241,54 +216,43 @@ TEST(SketchEngineTest, GroupByVarianceMatchesSubsetFormula) {
   EXPECT_DOUBLE_EQ(groups[0].variance, 200.0);
 }
 
-TEST(SketchEngineTest, SaveAndRestoreEngineState) {
+TEST(SketchEngineTest, ShardedSourceRestoresSnapshot) {
   AttributeTable table = SmallTable();
   std::vector<uint64_t> rows;
   Rng rng(190);
   for (int i = 0; i < 2000; ++i) rows.push_back(rng.NextBounded(4));
+  UnbiasedSpaceSaving saved(8, 5);
+  saved.UpdateBatch(rows);
+  ExactAggregator agg;
+  for (uint64_t item : rows) agg.Update(item);
+  ExactQueryEngine exact(&agg, &table);
 
-  PlainSketchSource source(8, 5);
-  source.Ingest(rows);
-  SketchQueryEngine engine(&source, &table);
-  const std::string state = engine.SaveState();
-
-  // A fresh plain-source engine restores the saved estimates exactly
-  // (capacity 8 >= 4 distinct items, so every estimate is exact).
-  PlainSketchSource restored_source(8, 9);
-  SketchQueryEngine restored(&restored_source, &table);
-  ASSERT_TRUE(restored.RestoreState(state));
-  Predicate red = Predicate().WhereEq(0, 0);
-  EXPECT_DOUBLE_EQ(restored.Sum(Predicate()).estimate,
-                   engine.Sum(Predicate()).estimate);
-  EXPECT_DOUBLE_EQ(restored.Sum(red).estimate, engine.Sum(red).estimate);
-  auto ga = engine.GroupBy1(1), gb = restored.GroupBy1(1);
-  ASSERT_EQ(ga.size(), gb.size());
-  for (const auto& [key, est] : ga) {
-    EXPECT_DOUBLE_EQ(est.estimate, gb[key].estimate);
-  }
-
-  // The restored engine keeps ingesting.
-  restored_source.Ingest(rows);
-  EXPECT_DOUBLE_EQ(restored.Sum(Predicate()).estimate, 4000.0);
-
-  // A sharded-source engine absorbs the same bytes.
   ShardedSketchOptions opts;
   opts.num_shards = 2;
   opts.shard_capacity = 64;
   opts.seed = 11;
-  ShardedSketchSource sharded_source(opts, 64, 12);
-  SketchQueryEngine sharded_engine(&sharded_source, &table);
-  ASSERT_TRUE(sharded_engine.RestoreState(state));
-  EXPECT_DOUBLE_EQ(sharded_engine.Sum(Predicate()).estimate,
-                   engine.Sum(Predicate()).estimate);
+  ShardedSketchSource source(opts, 64, 12);
+  SketchQueryEngine engine(&source, &table);
 
-  // Engines over a borrowed const sketch have no source to restore
-  // into; malformed bytes are rejected without touching state.
-  UnbiasedSpaceSaving direct(8, 1);
-  SketchQueryEngine borrowed(&direct, &table);
-  EXPECT_FALSE(borrowed.RestoreState(state));
-  EXPECT_FALSE(restored.RestoreState("garbage"));
-  EXPECT_DOUBLE_EQ(restored.Sum(Predicate()).estimate, 4000.0);
+  // The absorbed blob joins the shard set; capacity 64 >= 4 distinct
+  // items, so every total read through the engine is exact.
+  ASSERT_TRUE(source.RestoreSnapshot(Serialize(saved)));
+  EXPECT_EQ(source.sharded().num_absorbed(), 1u);
+  Predicate red = Predicate().WhereEq(0, 0);
+  EXPECT_DOUBLE_EQ(engine.Sum(Predicate()).estimate, 2000.0);
+  EXPECT_DOUBLE_EQ(engine.Sum(red).estimate,
+                   static_cast<double>(exact.Sum(red)));
+
+  // Malformed bytes are rejected without touching state.
+  EXPECT_FALSE(source.RestoreSnapshot("garbage"));
+  EXPECT_EQ(source.sharded().num_absorbed(), 1u);
+  EXPECT_DOUBLE_EQ(engine.Sum(Predicate()).estimate, 2000.0);
+
+  // The restored source keeps ingesting.
+  source.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+  EXPECT_DOUBLE_EQ(engine.Sum(Predicate()).estimate, 4000.0);
+  EXPECT_DOUBLE_EQ(engine.Sum(red).estimate,
+                   2.0 * static_cast<double>(exact.Sum(red)));
 }
 
 }  // namespace

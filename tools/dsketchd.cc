@@ -661,8 +661,8 @@ int Run(int argc, char** argv) {
   if (!replica_path.empty()) {
     // Read-replica mode: mmap the frozen image, vet it structurally
     // (O(1)), then deep-validate the content once (O(n)) — the file is
-    // untrusted input, and a serving process must never CHECK-fail on
-    // it later.
+    // untrusted input, and a replica must not serve answers off an image
+    // whose header disagrees with its entries.
     std::optional<FrozenSketchSource> image =
         FrozenSketchSource::FromFile(replica_path);
     if (!image.has_value()) {
