@@ -131,6 +131,7 @@ void SketchServer::Configure() {
   // windowed clock) and the wire encoders' capacity cap.
   DSKETCH_CHECK(options_.shard.num_shards > 0);
   DSKETCH_CHECK(options_.shard.shard_capacity > 0);
+  DSKETCH_CHECK(options_.shard.queue_capacity > 0);
   DSKETCH_CHECK(options_.shard.batch_size > 0);
   DSKETCH_CHECK(options_.window.rows_per_epoch == 0);
   DSKETCH_CHECK(options_.window.window_epochs > 0 &&

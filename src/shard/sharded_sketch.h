@@ -1,9 +1,12 @@
 // Sharded concurrent front-end for the Space Saving family.
 //
 // One ingest thread partitions rows by item hash across N shards; each
-// shard owns a core-local sketch fed through a bounded SPSC queue by a
-// dedicated worker thread that applies rows with the batched UpdateBatch
-// path. Because the hash partition sends every distinct item to exactly
+// shard owns a core-local sketch and a bounded, mutex-guarded inbox that
+// a dedicated worker drains with the batched UpdateBatch path, sleeping
+// while the inbox is empty (an idle fleet uses no CPU). A waiting
+// producer drains the inbox itself when the worker is idle; either way
+// a shard's rows reach its sketch in enqueue order, one drain at a
+// time. Because the hash partition sends every distinct item to exactly
 // one shard, and the §4/§5.3 merge is unbiased for arbitrary splits of
 // the stream (Theorem 2), Snapshot() — merge of the per-shard sketches —
 // gives unbiased subset-sum estimates over the full stream, and every
@@ -18,7 +21,9 @@
 // Threading contract: one thread calls Ingest/IngestSerialized/Flush/
 // Snapshot (single producer); the destructor stops and joins the
 // workers. Snapshot and shard() are safe only after a Flush with no
-// concurrent Ingest.
+// concurrent Ingest: Flush observes every row applied under the shard's
+// inbox mutex, which orders the drains' sketch writes before the
+// producer's reads, and no drain runs again until the next Ingest.
 //
 // Replication: SerializeSnapshot() ships the merged state as wire-format
 // bytes and IngestSerialized() absorbs a peer's bytes (any supported
@@ -29,7 +34,8 @@
 #ifndef DSKETCH_SHARD_SHARDED_SKETCH_H_
 #define DSKETCH_SHARD_SHARDED_SKETCH_H_
 
-#include <atomic>
+#include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -44,7 +50,6 @@
 #include "core/weighted_space_saving.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shard/spsc_queue.h"
 #include "util/flat_map.h"
 #include "util/logging.h"
 #include "util/span.h"
@@ -97,10 +102,10 @@ WeightedSpaceSaving MergeShards(
     const std::vector<const WeightedSpaceSaving*>& shards, size_t capacity,
     uint64_t seed);
 
-/// Row type a shard queue carries for sketch type `S`, and how the
+/// Row type a shard inbox carries for sketch type `S`, and how the
 /// partitioner extracts the routing label from one row. Integer-count
 /// sketches ship bare item labels; weighted sketches ship (item, weight)
-/// entries so every row keeps its real-valued weight through the queue.
+/// entries so every row keeps its real-valued weight through the inbox.
 template <typename S>
 struct ShardRow {
   using Type = uint64_t;
@@ -117,8 +122,8 @@ struct ShardRow<WeightedSpaceSaving> {
 struct ShardedSketchOptions {
   size_t num_shards = 4;          ///< worker threads / core-local sketches
   size_t shard_capacity = 4096;   ///< bins per shard sketch
-  size_t queue_capacity = 65536;  ///< per-shard SPSC queue length (rows)
-  size_t batch_size = 1024;       ///< rows a worker drains per UpdateBatch
+  size_t queue_capacity = 65536;  ///< rows a shard holds before Ingest waits
+  size_t batch_size = 1024;       ///< rows per UpdateBatch call in a drain
   uint64_t seed = 1;              ///< shard i seeds its sketch with seed+i
 };
 
@@ -129,7 +134,7 @@ struct ShardedSketchOptions {
 template <typename S>
 class ShardedSketch {
  public:
-  /// What one queued row looks like for this sketch type.
+  /// What one enqueued row looks like for this sketch type.
   using Row = typename ShardRow<S>::Type;
 
   /// Builds the shard sketch for partition `i` (lets sketch types whose
@@ -147,11 +152,12 @@ class ShardedSketch {
       : options_(options) {
     DSKETCH_CHECK(options.num_shards > 0);
     DSKETCH_CHECK(options.shard_capacity > 0);
+    DSKETCH_CHECK(options.queue_capacity > 0);
     DSKETCH_CHECK(options.batch_size > 0);
     shards_.reserve(options.num_shards);
     staging_.resize(options.num_shards);
     for (size_t i = 0; i < options.num_shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(options, i, factory));
+      shards_.push_back(std::make_unique<Shard>(i, factory));
     }
     for (auto& shard : shards_) {
       shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
@@ -159,17 +165,21 @@ class ShardedSketch {
   }
 
   ~ShardedSketch() {
-    stop_.store(true, std::memory_order_release);
     for (auto& shard : shards_) {
-      if (shard->worker.joinable()) shard->worker.join();
+      {
+        std::lock_guard<std::mutex> lock(shard->inbox_mu);
+        shard->stop = true;
+      }
+      shard->work.notify_one();
     }
+    for (auto& shard : shards_) shard->worker.join();
   }
 
   ShardedSketch(const ShardedSketch&) = delete;
   ShardedSketch& operator=(const ShardedSketch&) = delete;
 
-  /// Routes `rows` to their shards and enqueues them (blocking with
-  /// backoff while a destination queue is full). Single producer.
+  /// Routes `rows` to their shards and enqueues them (waiting while a
+  /// destination inbox is full). Single producer.
   void Ingest(Span<const Row> items) {
     obs::ScopedSpan span("shard_enqueue", obs::TraceLayer::kShard);
     span.Annotate("rows", items.size());
@@ -180,23 +190,26 @@ class ShardedSketch {
       std::vector<Row>& rows = staging_[s];
       if (rows.empty()) continue;
       Shard& shard = *shards_[s];
-      size_t done = 0;
-      while (done < rows.size()) {
-        size_t pushed =
-            shard.queue.PushBulk(rows.data() + done, rows.size() - done);
-        if (pushed == 0) {
-          std::this_thread::yield();  // queue full: let the worker drain
-        }
-        done += pushed;
+      std::unique_lock<std::mutex> lock(shard.inbox_mu);
+      for (size_t done = 0;;) {
+        const size_t n = std::min(rows.size() - done,
+                                  options_.queue_capacity - shard.inbox.size());
+        shard.inbox.insert(shard.inbox.end(), rows.begin() + done,
+                           rows.begin() + done + n);
+        shard.enqueued += n;
+        done += n;
+        if (done == rows.size()) break;
+        shard.work.notify_one();
+        WaitUntil(shard, lock, [&] {
+          return shard.inbox.size() < options_.queue_capacity;
+        });
       }
-      const uint64_t enqueued =
-          shard.enqueued.fetch_add(rows.size(), std::memory_order_release) +
-          rows.size();
       // Queue-pressure high-water mark: rows enqueued but not yet
-      // applied, sampled once per batch (not per row — one relaxed load
-      // and a CAS-max on the ingest path).
-      shard.queue_highwater->RaiseTo(static_cast<int64_t>(
-          enqueued - shard.applied.load(std::memory_order_relaxed)));
+      // applied, sampled once per shard per Ingest (not per row).
+      shard.queue_highwater->RaiseTo(
+          static_cast<int64_t>(shard.enqueued - shard.applied));
+      lock.unlock();
+      shard.work.notify_one();
       rows.clear();
     }
   }
@@ -205,10 +218,9 @@ class ShardedSketch {
   void Flush() {
     obs::ScopedSpan span("shard_drain", obs::TraceLayer::kShard);
     for (auto& shard : shards_) {
-      const uint64_t target = shard->enqueued.load(std::memory_order_acquire);
-      while (shard->applied.load(std::memory_order_acquire) < target) {
-        std::this_thread::yield();
-      }
+      std::unique_lock<std::mutex> lock(shard->inbox_mu);
+      WaitUntil(*shard, lock,
+                [&] { return shard->applied == shard->enqueued; });
     }
   }
 
@@ -221,18 +233,11 @@ class ShardedSketch {
     obs::ScopedSpan span("snapshot_merge", obs::TraceLayer::kShard);
     span.Annotate("shards", shards_.size());
     Flush();
-    // Shard sketches are copied under their locks (workers may still be
-    // alive); absorbed remotes are producer-thread-only and immutable,
-    // so they join the merge by pointer.
-    std::vector<S> copies;
-    copies.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      copies.push_back(shard->sketch);
-    }
+    // After Flush no drain runs, so the shard sketches join the merge in
+    // place, as do the absorbed remotes (producer-thread-only).
     std::vector<const S*> parts;
-    parts.reserve(copies.size() + remotes_.size());
-    for (const S& copy : copies) parts.push_back(&copy);
+    parts.reserve(shards_.size() + remotes_.size());
+    for (auto& shard : shards_) parts.push_back(&shard->sketch);
     for (const S& remote : remotes_) parts.push_back(&remote);
     return MergeShards(parts, capacity, seed);
   }
@@ -265,8 +270,8 @@ class ShardedSketch {
   int64_t RowsIngested() const {
     int64_t total = 0;
     for (const auto& shard : shards_) {
-      total +=
-          static_cast<int64_t>(shard->enqueued.load(std::memory_order_acquire));
+      std::lock_guard<std::mutex> lock(shard->inbox_mu);
+      total += static_cast<int64_t>(shard->enqueued);
     }
     return total;
   }
@@ -288,47 +293,82 @@ class ShardedSketch {
 
  private:
   struct Shard {
-    Shard(const ShardedSketchOptions& options, size_t i,
-          const ShardFactory& factory)
-        : queue(options.queue_capacity),
-          sketch(factory(i)),
+    Shard(size_t i, const ShardFactory& factory)
+        : sketch(factory(i)),
           rows_metric(&shard_metrics::RowsIngested(i)),
           queue_highwater(&shard_metrics::QueueDepthHighwater(i)) {}
 
-    SpscQueue<Row> queue;
+    // Written only by the thread that set `busy` (the worker or the
+    // producer), while it drains outside the lock.
     S sketch;
-    std::mutex mu;  // guards sketch between worker and Snapshot
-    std::atomic<uint64_t> enqueued{0};
-    std::atomic<uint64_t> applied{0};
-    // Cached telemetry handles (register once here, bump lock-free on
-    // the ingest/worker paths).
+    std::vector<Row> taken;  // the drained inbox; ping-pongs with `inbox`
+
+    // Guards the members below. On its own cache line: a waiting
+    // producer locks it in a loop while a drain writes the sketch.
+    alignas(64) mutable std::mutex inbox_mu;
+    std::condition_variable work;  // inbox non-empty, or stop
+    std::vector<Row> inbox;
+    uint64_t enqueued = 0;
+    uint64_t applied = 0;
+    bool busy = false;  // a drain is applying `taken` to `sketch`
+    bool stop = false;
+
+    // Telemetry handles, registered once and bumped lock-free.
     obs::Counter* rows_metric;
     obs::Gauge* queue_highwater;
     std::thread worker;
   };
 
-  void WorkerLoop(Shard& shard) {
-    std::vector<Row> rows(options_.batch_size);
-    while (true) {
-      const size_t n = shard.queue.PopBulk(rows.data(), rows.size());
-      if (n == 0) {
-        if (stop_.load(std::memory_order_acquire) && shard.queue.Empty()) {
-          return;
-        }
-        std::this_thread::yield();
+  // Applies the whole inbox to the sketch in batch_size UpdateBatch
+  // chunks, outside the lock. Requires `lock` held, !busy and a non-empty
+  // inbox; returns with `lock` held. Swapping the inbox with `taken` keeps
+  // both buffers' capacity, so a drain never allocates.
+  void Drain(Shard& shard, std::unique_lock<std::mutex>& lock) {
+    shard.inbox.swap(shard.taken);
+    shard.busy = true;
+    lock.unlock();
+    const size_t n = shard.taken.size();
+    for (size_t pos = 0; pos < n; pos += options_.batch_size) {
+      shard.sketch.UpdateBatch(Span<const Row>(
+          shard.taken.data() + pos, std::min(options_.batch_size, n - pos)));
+    }
+    shard.taken.clear();
+    shard.rows_metric->Inc(n);  // per drain, not per row
+    lock.lock();
+    shard.applied += n;
+    shard.busy = false;
+  }
+
+  // The producer's wait (full inbox, Flush): while `done` is false, drain
+  // the inbox itself if the worker is idle, else yield — the worker is
+  // mid-drain, so the wait is bounded. Spinning rather than sleeping
+  // keeps a query after fresh rows from paying two thread wake-ups.
+  template <typename Done>
+  void WaitUntil(Shard& shard, std::unique_lock<std::mutex>& lock,
+                 Done done) {
+    while (!done()) {
+      if (!shard.busy) {
+        Drain(shard, lock);
         continue;
       }
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.sketch.UpdateBatch(Span<const Row>(rows.data(), n));
-      }
-      shard.applied.fetch_add(n, std::memory_order_release);
-      shard.rows_metric->Inc(n);  // per drained batch, not per row
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+    }
+  }
+
+  void WorkerLoop(Shard& shard) {
+    std::unique_lock<std::mutex> lock(shard.inbox_mu);
+    while (true) {
+      shard.work.wait(lock, [&] {
+        return shard.stop || (!shard.busy && !shard.inbox.empty());
+      });
+      if (shard.inbox.empty()) return;  // stopped, nothing left
+      Drain(shard, lock);
     }
   }
 
   ShardedSketchOptions options_;
-  std::atomic<bool> stop_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::vector<Row>> staging_;  // per-shard routing buffers
   std::vector<S> remotes_;  // sketches absorbed via IngestSerialized

@@ -5,8 +5,8 @@
 // The single producer stamps each row with its epoch (EpochRow) and the
 // partition routes on the item label, so every distinct item's whole
 // history lands in one shard and each per-epoch merge stays a
-// disjoint-stream merge (unbiased by Theorem 2). Because the SPSC
-// queues preserve order, per-shard epoch stamps are non-decreasing and
+// disjoint-stream merge (unbiased by Theorem 2). Because each shard's
+// inbox preserves order, per-shard epoch stamps are non-decreasing and
 // each shard's ring advances exactly as a single-threaded windowed
 // sketch over its partition would. Snapshot() runs the epoch-aligned
 // MergeShards (windowed_sketch.h): slots merge by absolute epoch id and

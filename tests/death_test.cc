@@ -151,6 +151,9 @@ TEST(DeathTest, ServerVetsWindowConfigAtStartup) {
   SketchServerOptions no_batch;
   no_batch.shard.batch_size = 0;
   EXPECT_DEATH(SketchServer{no_batch}, "CHECK failed");
+  SketchServerOptions no_queue;
+  no_queue.shard.queue_capacity = 0;
+  EXPECT_DEATH(SketchServer{no_queue}, "CHECK failed");
 }
 
 TEST(DeathTest, WindowedSourceRejectsStampsPastTheClockCap) {

@@ -8,6 +8,7 @@
 // IngestSerialized).
 
 #include <dirent.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cmath>
@@ -928,6 +929,51 @@ TEST(ServiceThreadTest, FleetsStartTheirShardThreadsOnFirstUse) {
   replica.HandleRequest(EncodeQuerySumRequest(6, sum));
   replica.HandleRequest(EncodeStatsRequest(7));
   EXPECT_EQ(ThreadCount(), base + 2 * shards) << "a replica starts none";
+}
+
+// User plus system CPU time this process has used, in microseconds.
+int64_t ProcessCpuUs() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto us = [](const timeval& t) {
+    return static_cast<int64_t>(t.tv_sec) * 1000000 + t.tv_usec;
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+TEST(ServiceThreadTest, IdleWriterUsesNoCpu) {
+  // Shard workers sleep while their inboxes are empty: a writer whose
+  // three fleets have applied every row leaves the CPU alone.
+  SketchServer writer(SmallServerOptions());
+  IngestBatchRequest rows;
+  rows.items = {1, 2, 3, 4, 5};
+  uint64_t id = 0;
+  ASSERT_EQ(ResponseStatusOf(
+                writer.HandleRequest(EncodeIngestBatchRequest(++id, rows))),
+            Status::kOk);
+  rows.weights = {0.5, 1.0, 1.5, 2.0, 2.5};
+  ASSERT_EQ(ResponseStatusOf(
+                writer.HandleRequest(EncodeIngestBatchRequest(++id, rows))),
+            Status::kOk);
+  rows.weights.clear();
+  rows.windowed = true;
+  ASSERT_EQ(ResponseStatusOf(
+                writer.HandleRequest(EncodeIngestBatchRequest(++id, rows))),
+            Status::kOk);
+  // A query flushes its scope's fleet.
+  for (QueryScope scope :
+       {QueryScope::kCounts, QueryScope::kWeighted, QueryScope::kWindow}) {
+    QuerySumRequest sum;
+    sum.scope = scope;
+    ASSERT_EQ(ResponseStatusOf(
+                  writer.HandleRequest(EncodeQuerySumRequest(++id, sum))),
+              Status::kOk);
+  }
+
+  const int64_t before = ProcessCpuUs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(ProcessCpuUs() - before, 20000)
+      << "microseconds of CPU used over 200 ms idle";
 }
 
 // ---- golden service transcript ----

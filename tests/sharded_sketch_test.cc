@@ -1,13 +1,13 @@
-// Tests for the sharded concurrent front-end: the SPSC queue, routing,
-// exactness of totals, determinism despite threading, per-shard
-// equivalence with a sequentially-partitioned reference, and the
-// statistical contract — Snapshot() subset-sum estimates stay unbiased
-// because the hash partition + unbiased merge satisfy Theorem 2.
+// Tests for the sharded concurrent front-end: routing, exactness of
+// totals, determinism despite threading, per-shard equivalence with a
+// sequentially-partitioned reference (also when every Ingest waits on a
+// full inbox and the producer drains it itself), and the statistical
+// contract — Snapshot() subset-sum estimates stay unbiased because the
+// hash partition + unbiased merge satisfy Theorem 2.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +17,6 @@
 #include "core/subset_sum.h"
 #include "core/unbiased_space_saving.h"
 #include "shard/sharded_sketch.h"
-#include "shard/spsc_queue.h"
 #include "stats/welford.h"
 #include "stream/distributions.h"
 #include "stream/generators.h"
@@ -26,48 +25,6 @@
 
 namespace dsketch {
 namespace {
-
-TEST(SpscQueueTest, BulkRoundTripSingleThread) {
-  SpscQueue<uint64_t> q(100);
-  EXPECT_GE(q.capacity(), 100u);
-  std::vector<uint64_t> in(70), out(200);
-  for (size_t i = 0; i < in.size(); ++i) in[i] = i;
-  EXPECT_EQ(q.PushBulk(in.data(), in.size()), in.size());
-  EXPECT_EQ(q.PushBulk(in.data(), in.size()), q.capacity() - in.size());
-  EXPECT_EQ(q.PopBulk(out.data(), out.size()), q.capacity());
-  for (size_t i = 0; i < in.size(); ++i) EXPECT_EQ(out[i], i);
-  EXPECT_TRUE(q.Empty());
-  EXPECT_EQ(q.PopBulk(out.data(), out.size()), 0u);
-}
-
-TEST(SpscQueueTest, ConcurrentProducerConsumerDeliversEverythingInOrder) {
-  SpscQueue<uint64_t> q(256);
-  constexpr uint64_t kRows = 200000;
-  std::vector<uint64_t> got;
-  got.reserve(kRows);
-  std::thread consumer([&] {
-    uint64_t buf[64];
-    while (got.size() < kRows) {
-      size_t n = q.PopBulk(buf, 64);
-      for (size_t i = 0; i < n; ++i) got.push_back(buf[i]);
-      if (n == 0) std::this_thread::yield();
-    }
-  });
-  uint64_t next = 0;
-  while (next < kRows) {
-    uint64_t buf[64];
-    size_t len = 0;
-    while (len < 64 && next < kRows) buf[len++] = next++;
-    size_t done = 0;
-    while (done < len) {
-      done += q.PushBulk(buf + done, len - done);
-      if (done < len) std::this_thread::yield();
-    }
-  }
-  consumer.join();
-  ASSERT_EQ(got.size(), kRows);
-  for (uint64_t i = 0; i < kRows; ++i) ASSERT_EQ(got[i], i);
-}
 
 ShardedSketchOptions SmallOptions(size_t shards) {
   ShardedSketchOptions opt;
@@ -114,26 +71,36 @@ TEST(ShardedSketchTest, ShardsMatchSequentiallyPartitionedReference) {
   Rng rng(31);
   auto rows = PermutedStream(counts, rng);
 
-  ShardedSketchOptions opt = SmallOptions(3);
-  ShardedSpaceSaving sharded(opt);
-  sharded.Ingest(rows);
-  sharded.Flush();
+  // A one-row inbox with one-row batches makes every Ingest wait on a
+  // full inbox, so the producer drains rows itself between the worker's
+  // drains.
+  ShardedSketchOptions tiny_inbox = SmallOptions(3);
+  tiny_inbox.queue_capacity = 1;
+  tiny_inbox.batch_size = 1;
+  for (const ShardedSketchOptions& opt : {SmallOptions(3), tiny_inbox}) {
+    SCOPED_TRACE(opt.queue_capacity);
+    ShardedSpaceSaving sharded(opt);
+    sharded.Ingest(rows);
+    sharded.Flush();
 
-  std::vector<UnbiasedSpaceSaving> reference;
-  for (size_t s = 0; s < opt.num_shards; ++s) {
-    reference.emplace_back(opt.shard_capacity, opt.seed + s);
-  }
-  for (uint64_t item : rows) {
-    reference[sharded.ShardOf(item)].Update(item);
-  }
+    std::vector<UnbiasedSpaceSaving> reference;
+    for (size_t s = 0; s < opt.num_shards; ++s) {
+      reference.emplace_back(opt.shard_capacity, opt.seed + s);
+    }
+    for (uint64_t item : rows) {
+      reference[sharded.ShardOf(item)].Update(item);
+    }
 
-  for (size_t s = 0; s < opt.num_shards; ++s) {
-    auto got = sharded.shard(s).Entries();
-    auto want = reference[s].Entries();
-    ASSERT_EQ(got.size(), want.size()) << "shard " << s;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].item, want[i].item) << "shard " << s << " entry " << i;
-      EXPECT_EQ(got[i].count, want[i].count) << "shard " << s << " entry " << i;
+    for (size_t s = 0; s < opt.num_shards; ++s) {
+      auto got = sharded.shard(s).Entries();
+      auto want = reference[s].Entries();
+      ASSERT_EQ(got.size(), want.size()) << "shard " << s;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].item, want[i].item)
+            << "shard " << s << " entry " << i;
+        EXPECT_EQ(got[i].count, want[i].count)
+            << "shard " << s << " entry " << i;
+      }
     }
   }
 }
