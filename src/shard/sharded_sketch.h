@@ -2,11 +2,10 @@
 //
 // One ingest thread partitions rows by item hash across N shards; each
 // shard owns a core-local sketch and a bounded, mutex-guarded inbox that
-// a dedicated worker drains with the batched UpdateBatch path, sleeping
-// while the inbox is empty (an idle fleet uses no CPU). A waiting
-// producer drains the inbox itself when the worker is idle; either way
-// a shard's rows reach its sketch in enqueue order, one drain at a
-// time. Because the hash partition sends every distinct item to exactly
+// a dedicated worker (or a waiting producer, when the worker is idle)
+// drains in enqueue order with the batched UpdateBatch path; the worker
+// sleeps while the inbox is empty, so an idle fleet uses no CPU.
+// Because the hash partition sends every distinct item to exactly
 // one shard, and the §4/§5.3 merge is unbiased for arbitrary splits of
 // the stream (Theorem 2), Snapshot() — merge of the per-shard sketches —
 // gives unbiased subset-sum estimates over the full stream, and every
@@ -157,7 +156,8 @@ class ShardedSketch {
     shards_.reserve(options.num_shards);
     staging_.resize(options.num_shards);
     for (size_t i = 0; i < options.num_shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(i, factory));
+      shards_.push_back(
+          std::make_unique<Shard>(i, factory, options.queue_capacity));
     }
     for (auto& shard : shards_) {
       shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
@@ -166,10 +166,8 @@ class ShardedSketch {
 
   ~ShardedSketch() {
     for (auto& shard : shards_) {
-      {
-        std::lock_guard<std::mutex> lock(shard->inbox_mu);
-        shard->stop = true;
-      }
+      std::lock_guard<std::mutex> lock(shard->inbox_mu);
+      shard->stop = true;
       shard->work.notify_one();
     }
     for (auto& shard : shards_) shard->worker.join();
@@ -293,10 +291,16 @@ class ShardedSketch {
 
  private:
   struct Shard {
-    Shard(size_t i, const ShardFactory& factory)
+    Shard(size_t i, const ShardFactory& factory, size_t queue_capacity)
         : sketch(factory(i)),
+          taken(queue_capacity),
+          inbox(queue_capacity),
           rows_metric(&shard_metrics::RowsIngested(i)),
-          queue_highwater(&shard_metrics::QueueDepthHighwater(i)) {}
+          queue_highwater(&shard_metrics::QueueDepthHighwater(i)) {
+      // Zero-filled up front, so the footprint never grows with lag.
+      taken.clear();
+      inbox.clear();
+    }
 
     // Written only by the thread that set `busy` (the worker or the
     // producer), while it drains outside the lock.
@@ -320,9 +324,8 @@ class ShardedSketch {
   };
 
   // Applies the whole inbox to the sketch in batch_size UpdateBatch
-  // chunks, outside the lock. Requires `lock` held, !busy and a non-empty
-  // inbox; returns with `lock` held. Swapping the inbox with `taken` keeps
-  // both buffers' capacity, so a drain never allocates.
+  // chunks, outside the lock; needs `lock` held, !busy and a non-empty
+  // inbox, and relocks. The swap keeps both buffers' size: no allocation.
   void Drain(Shard& shard, std::unique_lock<std::mutex>& lock) {
     shard.inbox.swap(shard.taken);
     shard.busy = true;
