@@ -3,12 +3,18 @@
 // and end-to-end sketch merges.
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/merge.h"
+#include "core/serialization.h"
+#include "shard/sharded_sketch.h"
+#include "window/windowed_sketch.h"
 #include "stats/welford.h"
 #include "stream/distributions.h"
 #include "stream/generators.h"
@@ -271,6 +277,124 @@ TEST(MergeTest, MergedSketchRemainsUsable) {
   for (int i = 0; i < 100; ++i) merged.Update(999);
   EXPECT_EQ(merged.TotalCount(), before + 100);
   EXPECT_GE(merged.EstimateCount(999), 100);
+}
+
+// ---- pinned merge bytes ----
+//
+// Every §5.3 merge consumes its RNG draws in the canonical (count, item)
+// order of the combined entries, so the serialized result is a function
+// of the entry multiset and the seed alone. These digests pin that: a
+// change to how entries are combined or ordered that is not exactly
+// order-preserving shows up here as a mismatch.
+
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Skewed labels spread over all 64 bits: a few heavy items, a long tail,
+// and heavy count ties among the tail bins.
+std::vector<uint64_t> SkewedRows(uint64_t seed, size_t rows) {
+  Rng rng(seed);
+  std::vector<uint64_t> out(rows);
+  for (uint64_t& item : out) {
+    item = rng.NextBounded(rng.NextBounded(6000) + 1) * 0x9E3779B97F4A7C15ull;
+  }
+  return out;
+}
+
+UnbiasedSpaceSaving FilledSketch(size_t capacity, uint64_t seed,
+                                 uint64_t stream_seed, size_t rows) {
+  UnbiasedSpaceSaving sketch(capacity, seed);
+  const std::vector<uint64_t> items = SkewedRows(stream_seed, rows);
+  sketch.UpdateBatch(Span<const uint64_t>(items.data(), items.size()));
+  return sketch;
+}
+
+TEST(MergeBytesPinTest, MergeOutputsAreBitStable) {
+  std::vector<std::pair<std::string, std::string>> blobs;
+
+  // Merge of two sketches over overlapping label sets.
+  const UnbiasedSpaceSaving a = FilledSketch(600, 21, 1, 40000);
+  const UnbiasedSpaceSaving b = FilledSketch(500, 22, 2, 30000);
+  blobs.push_back({"merge", Serialize(Merge(a, b, 512, 11))});
+  blobs.push_back({"merge_small", Serialize(Merge(a, b, 64, 12))});
+
+  // Deterministic (Misra-Gries) merge shares the combine step.
+  DeterministicSpaceSaving da(300, 1), db(300, 2);
+  for (uint64_t item : SkewedRows(3, 20000)) da.Update(item);
+  for (uint64_t item : SkewedRows(4, 20000)) db.Update(item);
+  blobs.push_back({"merge_deterministic", Serialize(Merge(da, db, 256, 13))});
+
+  // MergeAll over five sketches.
+  std::vector<UnbiasedSpaceSaving> many;
+  for (uint64_t s = 0; s < 5; ++s) {
+    many.push_back(FilledSketch(400, 30 + s, 10 + s, 15000));
+  }
+  std::vector<const UnbiasedSpaceSaving*> ptrs;
+  for (const UnbiasedSpaceSaving& s : many) ptrs.push_back(&s);
+  blobs.push_back({"merge_all", Serialize(MergeAll(ptrs, 700, 14))});
+
+  // MergeShards through the sharded front-end, with an absorbed remote.
+  {
+    ShardedSketchOptions opt;
+    opt.num_shards = 2;
+    opt.shard_capacity = 512;
+    opt.seed = 40;
+    ShardedSpaceSaving sharded(opt);
+    const std::vector<uint64_t> rows = SkewedRows(5, 50000);
+    sharded.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+    ASSERT_TRUE(sharded.IngestSerialized(Serialize(b)));
+    blobs.push_back({"merge_shards_remote", Serialize(sharded.Snapshot(512, 15))});
+  }
+
+  // QueryWindow over a full ring that has advanced past its length.
+  {
+    WindowedSketchOptions opt;
+    opt.window_epochs = 12;
+    opt.epoch_capacity = 256;
+    opt.merged_capacity = 512;
+    opt.seed = 50;
+    WindowedSpaceSaving windowed(opt);
+    for (uint64_t e = 0; e < 15; ++e) {
+      const std::vector<uint64_t> rows = SkewedRows(100 + e, 6000);
+      windowed.UpdateBatch(Span<const uint64_t>(rows.data(), rows.size()));
+      if (e + 1 < 15) windowed.Advance();
+    }
+    for (size_t last_k : {size_t{1}, size_t{8}, size_t{0}}) {
+      blobs.push_back({"query_window_" + std::to_string(last_k),
+                       Serialize(windowed.QueryWindow(last_k))});
+    }
+  }
+
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"merge", 0x389d309d77417ba4ull},
+      {"merge_small", 0x48e33622c59cac4dull},
+      {"merge_deterministic", 0x8dfbda0573d42d21ull},
+      {"merge_all", 0xa0758e625a179a0full},
+      {"merge_shards_remote", 0x15d0243cb7d1071dull},
+      {"query_window_1", 0xc15718bf57c5d208ull},
+      {"query_window_8", 0x592358810e438523ull},
+      {"query_window_0", 0x686617b8fcc3ad0dull},
+  };
+  ASSERT_EQ(blobs.size(), pinned.size());
+  bool all_match = true;
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    EXPECT_EQ(blobs[i].first, pinned[i].first);
+    const uint64_t digest = Fnv1a64(blobs[i].second);
+    EXPECT_EQ(digest, pinned[i].second) << blobs[i].first;
+    all_match = all_match && digest == pinned[i].second;
+  }
+  if (!all_match) {
+    for (const auto& [label, blob] : blobs) {
+      std::printf("      {\"%s\", 0x%016llxull},\n", label.c_str(),
+                  static_cast<unsigned long long>(Fnv1a64(blob)));
+    }
+  }
 }
 
 }  // namespace
