@@ -12,7 +12,11 @@
 //                      (bounded by hardware_concurrency, recorded in the
 //                      output for interpretation);
 //   * micro          — per-sketch single-row update costs, merge cost,
-//                      and query cost.
+//                      and query cost;
+//   * shard_merge_us — one MergeShards of two hash-partitioned 4096-bin
+//                      shards into 4096 bins (the merge behind every
+//                      fresh served query), Zipf 1.1 over 1M items;
+//                      median and min-max over kShardMergeReps merges.
 //
 // Flags: --rows=N stream length, --reps=N repetitions (max is reported),
 // --json=PATH writes machine-readable baselines (recorded as
@@ -30,7 +34,9 @@
 // allocator mode, probe ISA, compiler) so recorded baselines say what
 // machine state produced them.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -49,6 +55,7 @@
 #include "shard/sharded_sketch.h"
 #include "stream/distributions.h"
 #include "stream/generators.h"
+#include "util/alias.h"
 #include "util/flat_map.h"
 #include "util/mmap_array.h"
 #include "util/random.h"
@@ -265,6 +272,65 @@ void MicroBenches(const Workload& w, int reps, bench::JsonSink& sink) {
   }
 }
 
+// The shape of the service's fresh-query merge: two shards of 4096 bins,
+// hash-partitioned by ShardedSketch, merged into 4096 bins. The stream is
+// 2M rows of Zipf 1.1 over 1M items, ids scattered by a permutation.
+constexpr int kShardMergeReps = 21;
+
+void ShardMergeBench(bench::JsonSink& sink) {
+  constexpr size_t kItems = 1000000;
+  constexpr size_t kRows = 2000000;
+  constexpr size_t kShards = 2;
+  constexpr size_t kBins = 4096;
+  std::vector<double> weights(kItems);
+  for (size_t r = 0; r < kItems; ++r) {
+    weights[r] = std::pow(static_cast<double>(r + 1), -1.1);
+  }
+  AliasTable table(weights);
+  std::vector<uint64_t> item_of_rank(kItems);
+  for (size_t i = 0; i < kItems; ++i) item_of_rank[i] = i;
+  Rng rng(11);
+  rng.Shuffle(item_of_rank.data(), item_of_rank.size());
+  std::vector<uint64_t> rows(kRows);
+  for (uint64_t& item : rows) item = item_of_rank[table.Sample(rng)];
+
+  ShardedSketchOptions opt;
+  opt.num_shards = kShards;
+  opt.shard_capacity = kBins;
+  opt.seed = 12;
+  ShardedSpaceSaving sharded(opt);
+  sharded.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+  sharded.Flush();
+  std::vector<const UnbiasedSpaceSaving*> parts;
+  for (size_t i = 0; i < kShards; ++i) parts.push_back(&sharded.shard(i));
+
+  std::vector<double> us(kShardMergeReps);
+  for (int r = 0; r < kShardMergeReps; ++r) {
+    auto t0 = Clock::now();
+    UnbiasedSpaceSaving merged =
+        MergeShards(parts, kBins, static_cast<uint64_t>(13 + r));
+    us[static_cast<size_t>(r)] = Seconds(t0) * 1e6;
+    if (merged.TotalCount() != static_cast<int64_t>(kRows)) std::abort();
+  }
+  std::sort(us.begin(), us.end());
+  const double median = us[us.size() / 2];
+  std::printf("\n-- shard_merge: MergeShards %zu x %zu -> %zu bins --\n",
+              kShards, kBins, kBins);
+  std::printf("%-24s %10.1f us  (min %.1f, max %.1f, %d merges)\n",
+              "shard_merge_us", median, us.front(), us.back(),
+              kShardMergeReps);
+  if (sink.enabled()) {
+    sink.BeginRecord("micro");
+    sink.Add("name", "shard_merge_us");
+    sink.Add("shards", static_cast<int64_t>(kShards));
+    sink.Add("m", static_cast<int64_t>(kBins));
+    sink.Add("reps", static_cast<int64_t>(kShardMergeReps));
+    sink.Add("median_us", median);
+    sink.Add("min_us", us.front());
+    sink.Add("max_us", us.back());
+  }
+}
+
 // --smoke body: proves the ingest hot path end to end on a small stream.
 // UpdateBatch documents bit-for-bit identity with per-row Update; m is
 // chosen to cover both batch bodies (plain below the pipelining
@@ -357,6 +423,7 @@ int main(int argc, char** argv) {
   BatchSizeSweep(workloads[0], full ? 4000000 : 1000000, reps, sink);
   ShardScalingSweep(workloads[0], 262144, reps, sink);
   MicroBenches(workloads[1], reps, sink);
+  ShardMergeBench(sink);
 
   sink.Flush();
   return 0;

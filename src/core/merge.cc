@@ -3,19 +3,18 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/entry_order.h"
 #include "util/logging.h"
 
 namespace dsketch {
 
 std::vector<SketchEntry> CombineEntries(const std::vector<SketchEntry>& a,
                                         const std::vector<SketchEntry>& b) {
-  std::unordered_map<uint64_t, int64_t> sums;
-  sums.reserve(a.size() + b.size());
-  for (const SketchEntry& e : a) sums[e.item] += e.count;
-  for (const SketchEntry& e : b) sums[e.item] += e.count;
   std::vector<SketchEntry> out;
-  out.reserve(sums.size());
-  for (const auto& [item, count] : sums) out.push_back({item, count});
+  out.reserve(a.size() + b.size());
+  out.insert(out.end(), a.begin(), a.end());
+  out.insert(out.end(), b.begin(), b.end());
+  CombineByItem(out);
   return out;
 }
 
@@ -28,12 +27,7 @@ std::vector<SketchEntry> ReducePairwise(std::vector<SketchEntry> entries,
   // sequence) depends only on the (item, count) multiset, never on the
   // caller's entry order — so a merge assembled from cached partials
   // reproduces a from-scratch merge bit-for-bit given the same seed.
-  auto canonical = [](const SketchEntry& a, const SketchEntry& b) {
-    return a.count != b.count ? a.count < b.count : a.item < b.item;
-  };
-  if (!std::is_sorted(entries.begin(), entries.end(), canonical)) {
-    std::sort(entries.begin(), entries.end(), canonical);
-  }
+  SortEntries(entries, EntryOrder::kCanonical);
 
   // Heap-free two-queue collapse (the classic linear-time Huffman
   // construction): originals are consumed in ascending order, and bins
@@ -137,17 +131,12 @@ UnbiasedSpaceSaving SketchFromEntries(std::vector<SketchEntry> combined,
   // multiset, not of how the caller assembled it. Pre-sorted input
   // (e.g. the windowed combine memo replaying under a fresh seed) skips
   // straight to the reduction.
-  auto canonical = [](const SketchEntry& a, const SketchEntry& b) {
-    return a.count != b.count ? a.count < b.count : a.item < b.item;
-  };
-  if (!std::is_sorted(combined.begin(), combined.end(), canonical)) {
-    std::sort(combined.begin(), combined.end(), canonical);
-  }
+  SortEntries(combined, EntryOrder::kCanonical);
   Rng rng(seed);
   std::vector<SketchEntry> reduced =
       ReducePairwise(std::move(combined), capacity, rng);
   UnbiasedSpaceSaving out(capacity, seed);
-  out.core().LoadEntries(reduced);
+  out.core().LoadEntries(std::move(reduced));
   return out;
 }
 
@@ -181,7 +170,7 @@ DeterministicSpaceSaving Merge(const DeterministicSpaceSaving& a,
   std::vector<SketchEntry> reduced = ReduceMisraGries(std::move(combined),
                                                       capacity);
   DeterministicSpaceSaving out(capacity, seed);
-  out.core().LoadEntries(reduced);
+  out.core().LoadEntries(std::move(reduced));
   return out;
 }
 
@@ -243,14 +232,18 @@ UnbiasedSpaceSaving MergeAll(
     const std::vector<const UnbiasedSpaceSaving*>& sketches, size_t capacity,
     uint64_t seed) {
   DSKETCH_CHECK(!sketches.empty());
-  std::unordered_map<uint64_t, int64_t> sums;
+  size_t total = 0;
   for (const UnbiasedSpaceSaving* s : sketches) {
     DSKETCH_CHECK(s != nullptr);
-    for (const SketchEntry& e : s->Entries()) sums[e.item] += e.count;
+    total += s->size();
   }
   std::vector<SketchEntry> combined;
-  combined.reserve(sums.size());
-  for (const auto& [item, count] : sums) combined.push_back({item, count});
+  combined.reserve(total);
+  for (const UnbiasedSpaceSaving* s : sketches) {
+    const std::vector<SketchEntry> entries = s->Entries();
+    combined.insert(combined.end(), entries.begin(), entries.end());
+  }
+  CombineByItem(combined);
   return SketchFromEntries(std::move(combined), capacity, seed);
 }
 

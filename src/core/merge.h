@@ -17,6 +17,14 @@
 //  * ReduceMisraGries    — the Agarwal et al. soft-threshold merge used by
 //                          the deterministic sketches; biased downward but
 //                          deterministic-guarantee preserving.
+//
+// Combining is sort-based: the integer-count merges concatenate their
+// inputs' entries, sort them by label and sum adjacent duplicates
+// (CombineByItem). That sort, the canonical (count, item) sort before a
+// reduction, and LoadEntries' sort all go through core/entry_order's
+// radix SortEntries. Labels are distinct after combining, so (count,
+// item) is a total order and the reduction's RNG draws follow from the
+// entry multiset and the seed alone.
 
 #ifndef DSKETCH_CORE_MERGE_H_
 #define DSKETCH_CORE_MERGE_H_
@@ -33,7 +41,8 @@
 
 namespace dsketch {
 
-/// Concatenates two entry sets, summing counts of duplicate labels.
+/// Concatenates two entry sets, summing counts of duplicate labels. The
+/// result is in label order, one entry per label.
 std::vector<SketchEntry> CombineEntries(const std::vector<SketchEntry>& a,
                                         const std::vector<SketchEntry>& b);
 

@@ -249,7 +249,7 @@ std::optional<Sketch> LoadIntegerEntries(uint64_t capacity,
     total += e.count;
   }
   Sketch sketch(static_cast<size_t>(capacity), seed);
-  sketch.core().LoadEntries(entries);
+  sketch.core().LoadEntries(std::move(entries));
   return sketch;
 }
 

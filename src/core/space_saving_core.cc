@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/entry_order.h"
 #include "util/logging.h"
 
 namespace dsketch {
@@ -315,7 +316,7 @@ std::vector<SketchEntry> SpaceSavingCore::Entries() const {
   return out;
 }
 
-void SpaceSavingCore::LoadEntries(const std::vector<SketchEntry>& entries) {
+void SpaceSavingCore::LoadEntries(std::vector<SketchEntry> entries) {
   DSKETCH_CHECK(entries.size() <= slots_.size());
   index_.Clear();
   ranges_.Clear();
@@ -327,27 +328,22 @@ void SpaceSavingCore::LoadEntries(const std::vector<SketchEntry>& entries) {
   // Entries() order matches the frozen image's canonical entry order
   // exactly, which the frozen query path (wire/frozen.h) relies on for
   // bit-identical answers.
-  std::vector<SketchEntry> sorted = entries;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const SketchEntry& a, const SketchEntry& b) {
-              return a.count < b.count ||
-                     (a.count == b.count && a.item > b.item);
-            });
+  SortEntries(entries, EntryOrder::kLoad);
 
-  const size_t pad = slots_.size() - sorted.size();
+  const size_t pad = slots_.size() - entries.size();
   for (size_t i = 0; i < pad; ++i) {
     slots_[i].item = kNoLabel;
     slots_[i].count = 0;
     index_pos_[i] = kNoIndex;
   }
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    DSKETCH_CHECK(sorted[i].count >= 0);
-    slots_[pad + i].item = sorted[i].item;
-    slots_[pad + i].count = sorted[i].count;
-    total_ += sorted[i].count;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    DSKETCH_CHECK(entries[i].count >= 0);
+    slots_[pad + i].item = entries[i].item;
+    slots_[pad + i].count = entries[i].count;
+    total_ += entries[i].count;
     index_pos_[pad + i] =
         static_cast<uint32_t>(index_.InsertOrAssignPosHashed(
-            sorted[i].item, FlatMap<uint32_t>::MixedHash(sorted[i].item),
+            entries[i].item, FlatMap<uint32_t>::MixedHash(entries[i].item),
             static_cast<uint32_t>(pad + i)));
   }
 

@@ -89,7 +89,7 @@ class SpaceSavingCore {
   /// Replaces the sketch contents with `entries` (at most `capacity()`,
   /// distinct labels). Used by the merge operations to materialize a
   /// reduced sketch; TotalCount() becomes the sum of the entry counts.
-  void LoadEntries(const std::vector<SketchEntry>& entries);
+  void LoadEntries(std::vector<SketchEntry> entries);
 
   /// The label-replacement policy this sketch was built with.
   LabelPolicy policy() const { return policy_; }

@@ -96,7 +96,8 @@ class CountsScope : public Scope {
   }
   void FillStats(StatsResponse* out) override {
     out->rows_ingested = rows_;
-    out->total_count = source_.View().TotalCount();
+    // Exact without building the merged view; still a Flush barrier.
+    out->total_count = source_.sharded().TotalCount();
   }
   ShardedSketchSource* source() override { return &source_; }
 

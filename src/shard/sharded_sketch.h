@@ -240,6 +240,17 @@ class ShardedSketch {
     return MergeShards(parts, capacity, seed);
   }
 
+  /// Flushes, then sums the shards' and absorbed remotes' totals: equal
+  /// to Snapshot(...).TotalCount() for any capacity and seed (the
+  /// pairwise reduction preserves the total), without merging.
+  int64_t TotalCount() {
+    Flush();
+    int64_t total = 0;
+    for (auto& shard : shards_) total += shard->sketch.TotalCount();
+    for (const S& remote : remotes_) total += remote.TotalCount();
+    return total;
+  }
+
   /// Serializes Snapshot(capacity, seed) with the current wire format —
   /// the replication payload a peer absorbs with IngestSerialized().
   std::string SerializeSnapshot(size_t capacity, uint64_t seed = 1) {

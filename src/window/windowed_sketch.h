@@ -27,7 +27,10 @@
 // addition is associative) are cached per (level, block) node and a
 // last-k query assembles its combined entry set from O(log W) cached
 // partials plus the open epoch's live entries, instead of re-merging
-// all W slots pairwise from scratch. Only the open epoch is ever
+// all W slots pairwise from scratch. Partials are kept in label order
+// (sorted once, by core/entry_order's radix SortEntries) so they combine
+// by linear merges; the combined set is brought into the canonical
+// (count, item) order by the same helper. Only the open epoch is ever
 // uncached (ingest invalidates nothing but a small combine memo);
 // advancing the window evicts just the nodes that fell off the ring's
 // left edge. QueryWindowUncached keeps the from-scratch path for
@@ -56,6 +59,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/entry_order.h"
 #include "core/merge.h"
 #include "core/sketch_entry.h"
 #include "core/unbiased_space_saving.h"
@@ -525,15 +529,7 @@ class WindowedSketch {
     merged.reserve(a.size() + b.size());
     std::merge(a.begin(), a.end(), b.begin(), b.end(),
                std::back_inserter(merged), ItemLess);
-    size_t w = 0;
-    for (size_t r = 0; r < merged.size(); ++r) {
-      if (w > 0 && merged[w - 1].item == merged[r].item) {
-        merged[w - 1].count += merged[r].count;
-      } else {
-        merged[w++] = merged[r];
-      }
-    }
-    merged.resize(w);
+    CombineByItem(merged);  // already in label order: only sums
     return merged;
   }
 
@@ -562,7 +558,7 @@ class WindowedSketch {
     if (level == 0) {
       if (const S* slot = FindSlotSketch(block)) {
         entries = slot->Entries();
-        std::sort(entries.begin(), entries.end(), ItemLess);
+        SortEntries(entries, EntryOrder::kByItem);
       }
     } else {
       const std::vector<SketchEntry>& left = NodeEntries(level - 1, 2 * block);
@@ -600,7 +596,7 @@ class WindowedSketch {
       }
     }
     std::vector<SketchEntry> open = ring_.back().sketch.Entries();
-    std::sort(open.begin(), open.end(), ItemLess);
+    SortEntries(open, EntryOrder::kByItem);
     // Balanced pairwise merges (n log k element moves, not k·n).
     std::vector<std::vector<SketchEntry>> round;
     round.reserve(parts.size() / 2 + 2);
@@ -619,11 +615,7 @@ class WindowedSketch {
       round = std::move(next);
     }
     std::vector<SketchEntry> combined = std::move(round.front());
-    std::sort(combined.begin(), combined.end(),
-              [](const SketchEntry& a, const SketchEntry& b) {
-                return a.count != b.count ? a.count < b.count
-                                          : a.item < b.item;
-              });
+    SortEntries(combined, EntryOrder::kCanonical);
     if (combine_memo_.size() >= 8) combine_memo_.clear();
     CombineMemo& memo = combine_memo_[last_k];
     memo.version = open_version_;

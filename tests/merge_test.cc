@@ -1,7 +1,9 @@
 // Tests for core/merge: Theorem 2 unbiased reductions (pairwise PPS and
 // priority sampling), exact total preservation, the Misra-Gries reduction,
-// and end-to-end sketch merges.
+// end-to-end sketch merges, the entry orderings of core/entry_order, and
+// pinned bytes of every merge path.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -9,16 +11,20 @@
 #include <unordered_map>
 #include <vector>
 
+#include <limits>
+#include <map>
+
 #include <gtest/gtest.h>
 
+#include "core/entry_order.h"
 #include "core/merge.h"
 #include "core/serialization.h"
 #include "shard/sharded_sketch.h"
-#include "window/windowed_sketch.h"
 #include "stats/welford.h"
 #include "stream/distributions.h"
 #include "stream/generators.h"
 #include "util/random.h"
+#include "window/windowed_sketch.h"
 
 namespace dsketch {
 namespace {
@@ -36,6 +42,125 @@ TEST(CombineEntriesTest, SumsDuplicates) {
   EXPECT_EQ(m[1], 5);
   EXPECT_EQ(m[2], 7);
   EXPECT_EQ(m[3], 1);
+}
+
+// ---- entry ordering ----
+//
+// SortEntries must produce exactly what a comparison sort produces. For
+// the two count orders the key is the whole entry, so std::sort's output
+// is unique; kByItem keeps equal labels in input order, so its reference
+// is std::stable_sort. Sizes run from empty and single entries to 5000.
+
+bool CanonicalLess(const SketchEntry& a, const SketchEntry& b) {
+  return a.count != b.count ? a.count < b.count : a.item < b.item;
+}
+bool ItemLess(const SketchEntry& a, const SketchEntry& b) {
+  return a.item < b.item;
+}
+bool LoadLess(const SketchEntry& a, const SketchEntry& b) {
+  return a.count != b.count ? a.count < b.count : a.item > b.item;
+}
+
+void ExpectMatchesComparisonSort(const std::vector<SketchEntry>& input,
+                                 const std::string& what) {
+  struct Case {
+    EntryOrder order;
+    bool (*less)(const SketchEntry&, const SketchEntry&);
+    const char* name;
+  };
+  const Case cases[] = {{EntryOrder::kCanonical, CanonicalLess, "canonical"},
+                        {EntryOrder::kByItem, ItemLess, "by_item"},
+                        {EntryOrder::kLoad, LoadLess, "load"}};
+  for (const Case& c : cases) {
+    std::vector<SketchEntry> expected = input;
+    if (c.order == EntryOrder::kByItem) {
+      std::stable_sort(expected.begin(), expected.end(), c.less);
+    } else {
+      std::sort(expected.begin(), expected.end(), c.less);
+    }
+    std::vector<SketchEntry> actual = input;
+    SortEntries(actual, c.order);
+    EXPECT_EQ(actual, expected) << what << " n=" << input.size() << " "
+                                << c.name;
+  }
+}
+
+// `n` entries whose items and counts come from the given draws.
+template <typename ItemFn, typename CountFn>
+std::vector<SketchEntry> RandomEntries(size_t n, uint64_t seed, ItemFn item,
+                                       CountFn count) {
+  Rng rng(seed);
+  std::vector<SketchEntry> out(n);
+  for (SketchEntry& e : out) {
+    e.item = item(rng);
+    e.count = count(rng);
+  }
+  return out;
+}
+
+TEST(EntryOrderTest, MatchesComparisonSortOnSeededInputs) {
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const int64_t kMin64 = std::numeric_limits<int64_t>::min();
+  const int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  auto any_item = [](Rng& r) { return r.NextU64(); };
+  auto few_items = [](Rng& r) { return r.NextBounded(40); };  // duplicates
+  auto top_items = [kMax](Rng& r) { return kMax - r.NextBounded(600); };
+  auto tied = [](Rng& r) { return static_cast<int64_t>(r.NextBounded(3)); };
+  auto signed_small = [](Rng& r) {
+    return static_cast<int64_t>(r.NextBounded(2001)) - 1000;
+  };
+  auto extremes = [=](Rng& r) {
+    const int64_t picks[] = {kMin64, kMin64 + 1, -1, 0, 1, kMax64 - 1, kMax64};
+    return picks[r.NextBounded(7)];
+  };
+  auto spread = [](Rng& r) { return static_cast<int64_t>(r.NextU64() >> 1); };
+
+  const std::vector<size_t> sizes = {0,   1,   2,   17,  254, 255,
+                                     256, 257, 258, 600, 5000};
+  uint64_t seed = 1;
+  for (size_t n : sizes) {
+    ExpectMatchesComparisonSort(RandomEntries(n, ++seed, any_item, tied),
+                                "heavy ties");
+    ExpectMatchesComparisonSort(
+        RandomEntries(n, ++seed, any_item, signed_small), "signed counts");
+    ExpectMatchesComparisonSort(RandomEntries(n, ++seed, any_item, extremes),
+                                "extreme counts");
+    ExpectMatchesComparisonSort(RandomEntries(n, ++seed, top_items, spread),
+                                "items near UINT64_MAX");
+    ExpectMatchesComparisonSort(RandomEntries(n, ++seed, few_items, tied),
+                                "repeated items");
+    ExpectMatchesComparisonSort(
+        RandomEntries(n, ++seed, top_items, signed_small), "top items, signed");
+
+    // Already in each order, and in each order reversed.
+    for (auto less : {CanonicalLess, ItemLess, LoadLess}) {
+      std::vector<SketchEntry> sorted =
+          RandomEntries(n, ++seed, top_items, signed_small);
+      std::sort(sorted.begin(), sorted.end(), less);
+      ExpectMatchesComparisonSort(sorted, "sorted");
+      std::reverse(sorted.begin(), sorted.end());
+      ExpectMatchesComparisonSort(sorted, "reversed");
+    }
+  }
+}
+
+TEST(EntryOrderTest, CombineByItemSumsEachLabelOnce) {
+  for (size_t n : {size_t{0}, size_t{10}, size_t{255}, size_t{300},
+                   size_t{4000}}) {
+    std::vector<SketchEntry> entries = RandomEntries(
+        n, 70 + n, [](Rng& r) { return ~uint64_t{0} - r.NextBounded(500); },
+        [](Rng& r) { return static_cast<int64_t>(r.NextBounded(100)) - 10; });
+    std::map<uint64_t, int64_t> expected;
+    for (const SketchEntry& e : entries) expected[e.item] += e.count;
+    CombineByItem(entries);
+    ASSERT_EQ(entries.size(), expected.size()) << "n=" << n;
+    size_t i = 0;
+    for (const auto& [item, count] : expected) {
+      EXPECT_EQ(entries[i].item, item);
+      EXPECT_EQ(entries[i].count, count);
+      ++i;
+    }
+  }
 }
 
 TEST(ReducePairwiseTest, PreservesTotalExactly) {
@@ -349,7 +474,8 @@ TEST(MergeBytesPinTest, MergeOutputsAreBitStable) {
     const std::vector<uint64_t> rows = SkewedRows(5, 50000);
     sharded.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
     ASSERT_TRUE(sharded.IngestSerialized(Serialize(b)));
-    blobs.push_back({"merge_shards_remote", Serialize(sharded.Snapshot(512, 15))});
+    blobs.push_back(
+        {"merge_shards_remote", Serialize(sharded.Snapshot(512, 15))});
   }
 
   // QueryWindow over a full ring that has advanced past its length.

@@ -211,10 +211,16 @@ TEST(ShardedSketchTest, AbsorbedSnapshotMergesWithLocalRows) {
   ASSERT_TRUE(fleet_b.IngestSerialized(v2_blob));
   ASSERT_TRUE(fleet_b.IngestSerialized(v1_blob));
   EXPECT_EQ(fleet_b.num_absorbed(), 2u);
+  const int64_t expected =
+      static_cast<int64_t>(2 * rows_a.size() + rows_b.size());
+
+  // TotalCount flushes and reads the same exact total without merging.
+  const uint64_t merges = shard_metrics::SnapshotMergeUs().Count();
+  EXPECT_EQ(fleet_b.TotalCount(), expected);
+  EXPECT_EQ(shard_metrics::SnapshotMergeUs().Count(), merges);
 
   UnbiasedSpaceSaving merged = fleet_b.Snapshot(1024, 5);
-  EXPECT_EQ(merged.TotalCount(),
-            static_cast<int64_t>(2 * rows_a.size() + rows_b.size()));
+  EXPECT_EQ(merged.TotalCount(), expected);
 }
 
 TEST(ShardedSketchTest, IngestSerializedRejectsMalformedBytes) {
