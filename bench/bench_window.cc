@@ -13,24 +13,37 @@
 //     re-merge) over last_k in {1, W/2, W}. The two are bit-identical
 //     in results; the sweep shows what the cache buys as W grows.
 //
+// A fleet row then drives the query-side source the service's window
+// scope uses (WindowedSketchSource, 1 and 4 shards, W=64, 1024 bins per
+// epoch, ring full): each rep ingests one 8192-row batch (one epoch per
+// 8 batches), then times the in-place ring refresh (MergedRing on the
+// dirty source) and the last_k 1, 8 and 0 views, against a from-scratch
+// epoch-aligned merge of the same fleet state. Each time is reported as
+// the median and min-max over the reps.
+//
 // Records baselines with --json=PATH (record_baselines.sh →
 // BENCH_window.json). --smoke runs a tiny W=64 configuration and exits
 // nonzero unless the cached full-window query is at least as fast as
 // the uncached path (and their results match exactly) — the CI guard
-// against the big-ring query cliff regressing.
+// against the big-ring query cliff regressing — or unless the fleet's
+// refreshed ring serializes to the same bytes as a fresh source's full
+// merge of the same rows.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "query/windowed_source.h"
 #include "stream/distributions.h"
 #include "stream/generators.h"
 #include "util/random.h"
 #include "util/span.h"
+#include "window/window_wire.h"
 #include "window/windowed_sketch.h"
 
 namespace dsketch {
@@ -40,6 +53,133 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// Median and range of a set of timings.
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread SpreadOf(std::vector<double> us) {
+  std::sort(us.begin(), us.end());
+  return {us[us.size() / 2], us.front(), us.back()};
+}
+
+// The fleet row (see the header). Returns the smoke failure count: the
+// refreshed ring must serialize exactly as a fresh source's full merge.
+int FleetBench(const std::vector<uint64_t>& stream, bool smoke,
+               bench::JsonSink& json) {
+  constexpr size_t kEpochs = 64;
+  constexpr size_t kBins = 1024;
+  constexpr size_t kBatch = 8192;
+  constexpr size_t kBatchesPerEpoch = 8;
+  const int64_t reps = smoke ? 5 : 16;
+  if (stream.size() < kBatch) {
+    std::printf("\n-- window fleet: skipped, the stream has %zu rows and a "
+                "batch needs %zu --\n",
+                stream.size(), kBatch);
+    return 0;
+  }
+  int failures = 0;
+  std::printf("\n-- window fleet: WindowedSketchSource, W=%zu, %zu bins/epoch, "
+              "%zu-row batches, %lld reps (median [min-max] us) --\n",
+              kEpochs, kBins, kBatch, static_cast<long long>(reps));
+  std::printf("%-7s %22s %22s %22s %22s %22s\n", "shards", "refresh_us",
+              "view_last1_us", "view_last8_us", "view_full_us",
+              "full_merge_us");
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    ShardedSketchOptions shard;
+    shard.num_shards = shards;
+    shard.seed = 81;
+    WindowedSketchOptions window;
+    window.window_epochs = kEpochs;
+    window.epoch_capacity = kBins;
+    window.merged_capacity = 4096;
+    WindowedSketchSource live(shard, window);
+    // Fed the same rows but merged once, at the end: a full merge.
+    WindowedSketchSource mirror(shard, window);
+
+    size_t pos = 0;
+    auto feed = [&](size_t batch) {
+      if (pos + kBatch > stream.size()) pos = 0;
+      const Span<const uint64_t> rows(stream.data() + pos, kBatch);
+      pos += kBatch;
+      const uint64_t epoch = batch / kBatchesPerEpoch;
+      live.Advance(epoch);
+      live.Ingest(rows);
+      if (smoke) {
+        mirror.Advance(epoch);
+        mirror.Ingest(rows);
+      }
+    };
+    size_t batch = 0;
+    for (; batch < kEpochs * kBatchesPerEpoch; ++batch) feed(batch);
+    (void)live.View();  // the ready barrier: one full merge
+
+    std::vector<double> refresh, last1, last8, full, remerge;
+    int64_t sink = 0;
+    auto time_us = [](auto&& fn) {
+      const Clock::time_point start = Clock::now();
+      fn();
+      return SecondsSince(start) * 1e6;
+    };
+    for (int64_t r = 0; r < reps; ++r, ++batch) {
+      feed(batch);
+      live.Flush();  // the drain is ingest's cost, not the refresh's
+      refresh.push_back(time_us([&] { (void)live.MergedRing(); }));
+      auto view_us = [&](size_t last_k) {
+        return time_us([&] { sink += live.WindowView(last_k).TotalCount(); });
+      };
+      last1.push_back(view_us(1));
+      last8.push_back(view_us(8));
+      full.push_back(view_us(0));
+      const std::vector<const WindowedSpaceSaving*> parts =
+          live.sharded().Parts();
+      remerge.push_back(time_us([&] {
+        WindowedSpaceSaving ring = MergeShards(parts, kBins, 7);
+        ring.AdvanceTo(live.current_epoch());
+        sink += static_cast<int64_t>(ring.TotalRows());
+      }));
+    }
+    if (sink == -1) std::printf("?");  // keep the work live
+
+    const Spread spreads[] = {SpreadOf(refresh), SpreadOf(last1),
+                              SpreadOf(last8), SpreadOf(full),
+                              SpreadOf(remerge)};
+    std::printf("%-7zu", shards);
+    for (const Spread& sp : spreads) {
+      std::printf(" %8.1f [%5.0f-%5.0f]", sp.median, sp.min, sp.max);
+    }
+    std::printf("\n");
+    if (json.enabled()) {
+      json.BeginRecord("window_fleet");
+      json.Add("shards", static_cast<int64_t>(shards));
+      json.Add("window_epochs", static_cast<int64_t>(kEpochs));
+      json.Add("epoch_bins", static_cast<int64_t>(kBins));
+      json.Add("batch_rows", static_cast<int64_t>(kBatch));
+      json.Add("batches_per_epoch", static_cast<int64_t>(kBatchesPerEpoch));
+      json.Add("reps", reps);
+      const char* names[] = {"refresh_us", "view_last1_us", "view_last8_us",
+                             "view_full_us", "full_merge_us"};
+      for (size_t i = 0; i < 5; ++i) {
+        const std::string name = names[i];
+        json.Add(name + "_median", spreads[i].median);
+        json.Add(name + "_min", spreads[i].min);
+        json.Add(name + "_max", spreads[i].max);
+      }
+    }
+    if (smoke && SerializeWindowed(live.MergedRing()) !=
+                     SerializeWindowed(mirror.MergedRing())) {
+      std::printf("FAIL: refreshed ring != full merge at %zu shards\n",
+                  shards);
+      ++failures;
+    }
+  }
+  std::printf(
+      "(refresh re-merges only the epochs that can still change and keeps\n"
+      " the merge tree below them; full_merge_us is the from-scratch\n"
+      " epoch-aligned merge of the same fleet state)\n");
+  return failures;
 }
 
 int Run(int argc, char** argv) {
@@ -188,6 +328,8 @@ int Run(int argc, char** argv) {
       " epoch; decay folds closed epochs in batches. Cached queries\n"
       " assemble O(log W) merge-tree partials; q_full_raw_us is the\n"
       " from-scratch W-way re-merge the cache replaces)\n");
+
+  failures += FleetBench(stream, smoke, json);
   if (smoke) {
     std::printf("smoke: %s\n", failures == 0 ? "OK" : "FAILED");
   }

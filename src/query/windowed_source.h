@@ -6,10 +6,19 @@
 //
 // Epoch consistency: the producer-side epoch (advanced by Advance, by
 // the stamps fed to IngestEpoch, or by restoring a peer that is ahead)
-// is authoritative. The merged snapshot is re-aligned to it after every
-// merge — a shard that saw no rows for recent epochs cannot drag the
+// is authoritative. The merged ring is re-aligned to it after every
+// refresh — a shard that saw no rows for recent epochs cannot drag the
 // merged ring backwards — so window queries always cut at the epoch the
 // producer last declared.
+//
+// Refresh in place: the merged ring, and the merge tree it caches for
+// last-k queries, live across mutations. The first read after a
+// mutation re-merges only the epochs that can still have changed — from
+// the oldest open epoch any local shard had at the previous refresh — so
+// a query after fresh rows pays for about one epoch, not W. Absorbing a
+// peer ring makes the next refresh a full re-merge, and a shard that got
+// no rows for several epochs holds the boundary back at its open epoch.
+// The refreshed ring is byte-identical to a full merge.
 //
 // Snapshots: SaveSnapshot ships the full epoch ring as the
 // window-snapshot wire kind (window/window_wire.h) and RestoreSnapshot
@@ -20,6 +29,7 @@
 #ifndef DSKETCH_QUERY_WINDOWED_SOURCE_H_
 #define DSKETCH_QUERY_WINDOWED_SOURCE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -144,16 +154,37 @@ class WindowedSketchSource final : public SketchSource {
   /// slot inspection). Valid until the next Ingest/IngestEpoch/Advance/
   /// RestoreSnapshot — like WindowView references: views are dropped
   /// eagerly at mutation time (MarkDirty), so a read on a dirty source
-  /// re-merges without invalidating anything a caller still holds.
+  /// refreshes the ring without invalidating anything a caller still
+  /// holds.
+  ///
+  /// The ring is kept across mutations and refreshed in place: only the
+  /// epochs from the oldest open epoch a local shard had at the last
+  /// refresh on are re-merged, and the merge-tree nodes below it
+  /// survive, so a window query after fresh rows pays for the
+  /// open epoch rather than for W epochs. The result is bit-identical to
+  /// a full re-merge of the fleet.
   const WindowedSpaceSaving& MergedRing() {
-    if (dirty_ || !merged_.has_value()) {
-      merged_.emplace(
-          sharded_->Snapshot(window_.epoch_capacity, seed_ + 1000003));
-      // The producer epoch is authoritative: open it even if no shard
-      // saw rows for it yet.
-      merged_->AdvanceTo(epoch_);
-      dirty_ = false;
+    if (!dirty_ && merged_.has_value()) return *merged_;
+    obs::ScopedTimer merge_timer(shard_metrics::SnapshotMergeUs());
+    // Parts() flushes, nesting its shard_drain span under this one.
+    obs::ScopedSpan span("snapshot_merge", obs::TraceLayer::kShard);
+    span.Annotate("shards", sharded_->num_shards());
+    const std::vector<const WindowedSpaceSaving*> parts = sharded_->Parts();
+    if (!merged_.has_value()) {
+      WindowedSketchOptions ring = window_;
+      ring.seed = seed_ + 1000003;
+      merged_.emplace(ring);
     }
+    span.Annotate("epochs_remerged",
+                  MergeShardsFrom(parts, final_below_, *merged_));
+    // The producer epoch is authoritative: open it even if no shard saw
+    // rows for it yet.
+    merged_->AdvanceTo(epoch_);
+    final_below_ = kMaxEpochStamp;
+    for (size_t i = 0; i < sharded_->num_shards(); ++i) {
+      final_below_ = std::min(final_below_, sharded_->shard(i).CurrentEpoch());
+    }
+    dirty_ = false;
     return *merged_;
   }
 
@@ -170,6 +201,7 @@ class WindowedSketchSource final : public SketchSource {
   bool RestoreSnapshot(std::string_view bytes) {
     if (!sharded_->IngestSerialized(bytes)) return false;
     MarkDirty();
+    final_below_ = 0;  // a new part: the next refresh re-merges every epoch
     // Peeked off the slot headers, not read from a merged view — a
     // restore stays cheap (the flush + fleet merge keeps being deferred
     // to the next query, where consecutive restores coalesce into one).
@@ -190,7 +222,7 @@ class WindowedSketchSource final : public SketchSource {
   // Every mutation ends handed-out view validity *here*, eagerly — not
   // lazily at the next read. This is what makes the documented contract
   // ("references valid until the next Ingest/Advance/Restore") true:
-  // DecayedView/MergedRing/SaveSnapshot on a dirty source re-merge the
+  // DecayedView/MergedRing/SaveSnapshot on a dirty source refresh the
   // ring but never destroy a view some caller still references. The
   // window_view_k_ tag is reset with its cache so it can never describe
   // a cleared cache.
@@ -208,6 +240,12 @@ class WindowedSketchSource final : public SketchSource {
   bool dirty_ = true;
   std::vector<EpochRow> staging_;
   std::optional<WindowedSpaceSaving> merged_;
+  // The epoch below which every merged slot is still final: the oldest
+  // open epoch of any local shard at the last refresh. A shard writes
+  // only at or after its open epoch (late rows are credited to it), and
+  // absorbed remotes never change. 0 (a full re-merge) before the first
+  // refresh and after a restore.
+  uint64_t final_below_ = 0;
   std::optional<UnbiasedSpaceSaving> ring_view_;    // full-window merge
   std::optional<UnbiasedSpaceSaving> window_view_;  // last-k merge cache
   size_t window_view_k_ = 0;

@@ -18,11 +18,12 @@
 // so runs are reproducible despite the concurrency.
 //
 // Threading contract: one thread calls Ingest/IngestSerialized/Flush/
-// Snapshot (single producer); the destructor stops and joins the
-// workers. Snapshot and shard() are safe only after a Flush with no
-// concurrent Ingest: Flush observes every row applied under the shard's
-// inbox mutex, which orders the drains' sketch writes before the
-// producer's reads, and no drain runs again until the next Ingest.
+// Parts/Snapshot (single producer); the destructor stops and joins the
+// workers. Parts() and Snapshot() flush first; shard() is safe only
+// after a Flush with no concurrent Ingest: Flush observes every row
+// applied under the shard's inbox mutex, which orders the drains'
+// sketch writes before the producer's reads, and no drain runs again
+// until the next Ingest.
 //
 // Replication: SerializeSnapshot() ships the merged state as wire-format
 // bytes and IngestSerialized() absorbs a peer's bytes (any supported
@@ -222,32 +223,37 @@ class ShardedSketch {
     }
   }
 
+  /// Flushes, then returns every part of the fleet's state: the shard
+  /// sketches in partition order, then the absorbed remotes in
+  /// absorption order. After Flush no drain runs, so the parts are read
+  /// in place; the pointers stay valid until the next Ingest or
+  /// IngestSerialized.
+  std::vector<const S*> Parts() {
+    Flush();
+    std::vector<const S*> parts;
+    parts.reserve(shards_.size() + remotes_.size());
+    for (auto& shard : shards_) parts.push_back(&shard->sketch);
+    for (const S& remote : remotes_) parts.push_back(&remote);
+    return parts;
+  }
+
   /// Flushes, then merges the per-shard sketches into one sketch with
   /// `capacity` bins. Estimates from the result are unbiased (Theorem 2);
   /// deterministic given the ingested stream and seeds.
   S Snapshot(size_t capacity, uint64_t seed = 1) {
     obs::ScopedTimer merge_timer(shard_metrics::SnapshotMergeUs());
-    // Flush() nests its shard_drain span under this one.
+    // Parts() flushes, nesting its shard_drain span under this one.
     obs::ScopedSpan span("snapshot_merge", obs::TraceLayer::kShard);
     span.Annotate("shards", shards_.size());
-    Flush();
-    // After Flush no drain runs, so the shard sketches join the merge in
-    // place, as do the absorbed remotes (producer-thread-only).
-    std::vector<const S*> parts;
-    parts.reserve(shards_.size() + remotes_.size());
-    for (auto& shard : shards_) parts.push_back(&shard->sketch);
-    for (const S& remote : remotes_) parts.push_back(&remote);
-    return MergeShards(parts, capacity, seed);
+    return MergeShards(Parts(), capacity, seed);
   }
 
   /// Flushes, then sums the shards' and absorbed remotes' totals: equal
   /// to Snapshot(...).TotalCount() for any capacity and seed (the
   /// pairwise reduction preserves the total), without merging.
   int64_t TotalCount() {
-    Flush();
     int64_t total = 0;
-    for (auto& shard : shards_) total += shard->sketch.TotalCount();
-    for (const S& remote : remotes_) total += remote.TotalCount();
+    for (const S* part : Parts()) total += part->TotalCount();
     return total;
   }
 

@@ -12,7 +12,11 @@
 // MergeShards (windowed_sketch.h): slots merge by absolute epoch id and
 // lagging shards' decayed accumulators are re-aged to the merged open
 // epoch, so the merged ring is epoch-consistent — window and decayed
-// queries answer as one windowed sketch over the whole stream.
+// queries answer as one windowed sketch over the whole stream. Since a
+// shard only ever writes at or after its open epoch, its closed slots
+// are final: WindowedSketchSource (query/windowed_source.h) keeps one
+// merged ring and refreshes it from Parts() with MergeShardsFrom, which
+// re-merges only the epochs that can still have changed.
 //
 // MakeShardedWindowed builds the fleet: ShardedSketch's default factory
 // assumes an S(capacity, seed) constructor, so the windowed

@@ -41,13 +41,10 @@ WeightedSpaceSaving AlignDecayed(const WindowedSpaceSaving& shard,
 
 }  // namespace
 
-WindowedSpaceSaving MergeShards(
-    const std::vector<const WindowedSpaceSaving*>& shards,
-    size_t epoch_capacity, uint64_t seed) {
+size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
+                       uint64_t from, WindowedSpaceSaving& merged) {
   DSKETCH_CHECK(!shards.empty());
-  WindowedSketchOptions opt = shards.front()->options();
-  opt.epoch_capacity = epoch_capacity;
-  opt.seed = seed;
+  const WindowedSketchOptions& opt = merged.options();
 
   uint64_t current = 0;
   uint64_t rows_in_epoch = 0;
@@ -63,44 +60,74 @@ WindowedSpaceSaving MergeShards(
   for (const WindowedSpaceSaving* s : shards) {
     if (s->CurrentEpoch() == current) rows_in_epoch += s->RowsInCurrentEpoch();
   }
+  // The newest epoch is always re-merged, so the tail is never empty.
+  from = std::min(from, current);
   const uint64_t lo = current + 1 >= opt.window_epochs
                           ? current + 1 - opt.window_epochs
                           : 0;
+  const uint64_t first = std::max(lo, from);
 
-  // One merged slot per epoch in the window, aligned by absolute epoch
-  // id; epochs no shard saw stay as empty sketches so last-k counting
-  // matches a single sketch over the whole stream.
-  std::deque<WindowedSpaceSaving::EpochSlot> slots;
-  for (uint64_t e = lo; e <= current; ++e) {
-    std::vector<const UnbiasedSpaceSaving*> parts;
-    for (const WindowedSpaceSaving* s : shards) {
-      for (const auto& slot : s->slots()) {
-        if (slot.epoch == e && slot.sketch.size() > 0) {
-          parts.push_back(&slot.sketch);
-        }
-      }
+  // One merged slot per epoch in [first, current], aligned by absolute
+  // epoch id; epochs no shard saw stay as empty sketches so last-k
+  // counting matches a single sketch over the whole stream. Each part's
+  // cursor starts at its first slot at or after `first` and steps past
+  // a slot once its epoch is merged: O(W + parts · log W) lookups.
+  using Slots = std::deque<WindowedSpaceSaving::EpochSlot>;
+  std::vector<Slots::const_iterator> cursors;
+  cursors.reserve(shards.size());
+  for (const WindowedSpaceSaving* s : shards) {
+    cursors.push_back(std::lower_bound(
+        s->slots().begin(), s->slots().end(), first,
+        [](const WindowedSpaceSaving::EpochSlot& slot, uint64_t e) {
+          return slot.epoch < e;
+        }));
+  }
+  Slots tail;
+  std::vector<const UnbiasedSpaceSaving*> parts;
+  for (uint64_t e = first; e <= current; ++e) {
+    parts.clear();
+    for (size_t i = 0; i < shards.size(); ++i) {
+      Slots::const_iterator& it = cursors[i];
+      if (it == shards[i]->slots().end() || it->epoch != e) continue;
+      if (it->sketch.size() > 0) parts.push_back(&it->sketch);
+      ++it;
     }
     if (parts.empty()) {
-      slots.emplace_back(e, UnbiasedSpaceSaving(epoch_capacity, seed + e));
+      tail.emplace_back(e,
+                        UnbiasedSpaceSaving(opt.epoch_capacity, opt.seed + e));
     } else {
-      slots.emplace_back(e, MergeShards(parts, epoch_capacity, seed + e));
+      tail.emplace_back(e,
+                        MergeShards(parts, opt.epoch_capacity, opt.seed + e));
     }
   }
+  const size_t remerged = tail.size();
+  window_metrics::EpochsRemerged().Inc(remerged);
 
-  WeightedSpaceSaving decayed(opt.merged_capacity, seed);
+  WeightedSpaceSaving decayed(opt.merged_capacity, opt.seed);
   if (opt.half_life_epochs > 0.0) {
     std::vector<WeightedSpaceSaving> aligned;
     aligned.reserve(shards.size());
     for (const WindowedSpaceSaving* s : shards) {
-      aligned.push_back(
-          AlignDecayed(*s, current, opt.half_life_epochs, seed + current));
+      aligned.push_back(AlignDecayed(*s, current, opt.half_life_epochs,
+                                     opt.seed + current));
     }
-    decayed = MergeShards(aligned, opt.merged_capacity, seed + current);
+    decayed = MergeShards(aligned, opt.merged_capacity, opt.seed + current);
   }
 
+  merged.ReplaceTail(from, std::move(tail), std::move(decayed),
+                     std::min(rows_in_epoch, total_rows), total_rows);
+  return remerged;
+}
+
+WindowedSpaceSaving MergeShards(
+    const std::vector<const WindowedSpaceSaving*>& shards,
+    size_t epoch_capacity, uint64_t seed) {
+  DSKETCH_CHECK(!shards.empty());
+  WindowedSketchOptions opt = shards.front()->options();
+  opt.epoch_capacity = epoch_capacity;
+  opt.seed = seed;
   WindowedSpaceSaving out(opt);
-  out.LoadState(std::move(slots), std::move(decayed),
-                std::min(rows_in_epoch, total_rows), total_rows);
+  MergeShardsFrom(shards, 0, out);
   return out;
 }
 

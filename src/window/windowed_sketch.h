@@ -33,7 +33,10 @@
 // (count, item) order by the same helper. Only the open epoch is ever
 // uncached (ingest invalidates nothing but a small combine memo);
 // advancing the window evicts just the nodes that fell off the ring's
-// left edge. QueryWindowUncached keeps the from-scratch path for
+// left edge. A merged fleet ring survives ingest the same way:
+// MergeShardsFrom refreshes it in place through ReplaceTail, which
+// re-merges only the epochs that can still change and keeps the nodes
+// below them. QueryWindowUncached keeps the from-scratch path for
 // benchmarks and cross-checks.
 //
 // Determinism: epoch e's sketch is seeded seed + e and the decay folds
@@ -54,6 +57,7 @@
 #include <cmath>
 #include <deque>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -161,6 +165,17 @@ inline obs::Histogram& FoldUs() {
   static obs::Histogram& hist = obs::MetricsRegistry::Global().GetHistogram(
       "dsketch_window_fold_us");
   return hist;
+}
+
+// Merged-ring epochs rebuilt by the epoch-aligned shard merge: a full
+// merge counts the whole window, an in-place refresh only the epochs
+// that could still change. Growth of W per refresh means something (a
+// freshly absorbed remote, a shard waking after idle epochs) forced a
+// full re-merge.
+inline obs::Counter& EpochsRemerged() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "dsketch_window_epochs_remerged_total");
+  return c;
 }
 
 inline obs::Counter& FastForwards() {
@@ -293,7 +308,7 @@ class WindowedSketch {
     }
     // Closed slots are immutable, so existing tree nodes stay valid —
     // only spans that fell off the ring's left edge are dropped.
-    EvictExpiredNodes();
+    EvictNodes();
   }
 
   /// Unbiased merged view of the newest min(last_k, ring) epochs with
@@ -383,23 +398,42 @@ class WindowedSketch {
 
   /// Restores internal state from decoded parts (the window wire codec's
   /// entry point; `slots` must be non-empty with strictly increasing
-  /// epochs spanning at most the window).
+  /// epochs, at most window_epochs of them): ReplaceTail from epoch 0.
   void LoadState(std::deque<EpochSlot> slots, WeightedSpaceSaving decayed,
                  uint64_t rows_in_epoch, uint64_t total_rows) {
-    DSKETCH_CHECK(!slots.empty() &&
-                  slots.size() <= options_.window_epochs);
-    for (size_t i = 1; i < slots.size(); ++i) {
-      DSKETCH_CHECK(slots[i - 1].epoch < slots[i].epoch);
+    ReplaceTail(0, std::move(slots), std::move(decayed), rows_in_epoch,
+                total_rows);
+  }
+
+  /// Replaces every slot at epoch `from` or later with `tail` (non-empty,
+  /// strictly increasing epochs, all >= `from`) and the decayed state and
+  /// row counters outright. Slots below `from` are kept, minus those that
+  /// fall outside the window ending at the tail's newest epoch, and so
+  /// are the merge-tree nodes whose span ends below `from`: the caller
+  /// vouches that those slots are unchanged. This is
+  /// how the windowed MergeShardsFrom refreshes a merged ring in place.
+  void ReplaceTail(uint64_t from, std::deque<EpochSlot> tail,
+                   WeightedSpaceSaving decayed, uint64_t rows_in_epoch,
+                   uint64_t total_rows) {
+    DSKETCH_CHECK(!tail.empty() && tail.front().epoch >= from);
+    for (size_t i = 1; i < tail.size(); ++i) {
+      DSKETCH_CHECK(tail[i - 1].epoch < tail[i].epoch);
     }
-    ring_ = std::move(slots);
+    const uint64_t newest = tail.back().epoch;
+    while (!ring_.empty() && ring_.back().epoch >= from) ring_.pop_back();
+    while (!ring_.empty() &&
+           ring_.front().epoch + options_.window_epochs <= newest) {
+      ring_.pop_front();
+    }
+    ring_.insert(ring_.end(), std::make_move_iterator(tail.begin()),
+                 std::make_move_iterator(tail.end()));
+    DSKETCH_CHECK(ring_.size() <= options_.window_epochs);
     decayed_ = std::move(decayed);
     rows_in_epoch_ = rows_in_epoch;
     total_rows_ = total_rows;
-    // Restores can replace slot contents at epochs the tree already
-    // cached, so the whole merge cache (not just the expired left edge)
-    // is rebuilt lazily from the new slots.
     pending_.clear();
-    ClearMergeCache();
+    combine_memo_.clear();
+    EvictNodes(from);  // nodes reaching `from` cached replaced slots
   }
 
  private:
@@ -623,13 +657,15 @@ class WindowedSketch {
     return memo.combined;
   }
 
-  // Drops cached nodes whose span lies entirely left of the ring.
-  void EvictExpiredNodes() {
+  // Drops the cached nodes whose span lies entirely left of the ring or
+  // reaches epoch `from`.
+  void EvictNodes(uint64_t from = std::numeric_limits<uint64_t>::max()) {
     const uint64_t front = ring_.front().epoch;
     for (auto it = node_cache_.begin(); it != node_cache_.end();) {
       const uint64_t span_hi =
           ((it->first.second + 1) << it->first.first) - 1;
-      it = span_hi < front ? node_cache_.erase(it) : std::next(it);
+      it = span_hi < front || span_hi >= from ? node_cache_.erase(it)
+                                              : std::next(it);
     }
   }
 
@@ -666,14 +702,27 @@ class WindowedSketch {
 /// shard, query, and service layers instantiate.
 using WindowedSpaceSaving = WindowedSketch<UnbiasedSpaceSaving>;
 
-/// Epoch-aligned unbiased merge of windowed sketches: slots are matched
-/// by absolute epoch id (a shard that saw no rows for an epoch simply
-/// contributes nothing to it), each aligned epoch set is merged with the
-/// unbiased MergeShards reduction at `epoch_capacity` bins, and the
-/// decayed accumulators merge under the weighted reduction — so
+/// Epoch-aligned unbiased merge of windowed sketches into `merged`,
+/// refreshed in place from epoch `from` on. Slots are matched by
+/// absolute epoch id (a shard that saw no rows for an epoch simply
+/// contributes nothing to it); merged slot e is the unbiased MergeShards
+/// reduction of the shards' epoch-e sketches at merged's epoch_capacity
+/// bins, seeded merged.seed + e. Only epochs in [from, newest shard
+/// epoch] are re-merged (a `from` past the newest epoch is clamped to
+/// it); merged's slots and merge-tree nodes below `from` are kept
+/// — the caller vouches that no shard's slot below `from` changed since
+/// they were merged — and the decayed accumulators are re-merged under
+/// the weighted reduction. So with the same shard state, a refresh is
+/// bit-identical to a full merge, and
 /// ShardedSketch<WindowedSpaceSaving>::Snapshot() is epoch-consistent:
 /// the merged ring answers window queries exactly as one windowed sketch
-/// over the whole stream would.
+/// over the whole stream would. Returns the number of epochs re-merged.
+size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
+                       uint64_t from, WindowedSpaceSaving& merged);
+
+/// Full epoch-aligned merge: MergeShardsFrom(shards, 0, ·) into a new
+/// ring with the first shard's options, `epoch_capacity` bins per epoch
+/// and seed `seed`.
 WindowedSpaceSaving MergeShards(
     const std::vector<const WindowedSpaceSaving*>& shards,
     size_t epoch_capacity, uint64_t seed);

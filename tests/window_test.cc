@@ -7,6 +7,7 @@
 // window-snapshot wire round trip with replication through
 // IngestSerialized.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -628,6 +629,163 @@ TEST(WindowedSourceTest, ReadsNeverInvalidateHeldViews) {
   source.Ingest(Span<const uint64_t>(last.data(), last.size()));
   EXPECT_EQ(source.View().TotalCount(), 225);
   EXPECT_EQ(source.WindowView(1).TotalCount(), 75);
+}
+
+// One step of a windowed source's op stream, replayable on a new source.
+struct SourceOp {
+  enum Kind { kIngest, kIngestEpoch, kAdvance, kRestore } kind;
+  std::vector<uint64_t> items;  // kIngest
+  std::vector<EpochRow> rows;   // kIngestEpoch
+  uint64_t epoch = 0;           // kAdvance
+  std::string ring;             // kRestore: a peer's SaveSnapshot bytes
+};
+
+void ApplyOp(const SourceOp& op, WindowedSketchSource& source) {
+  switch (op.kind) {
+    case SourceOp::kIngest:
+      source.Ingest(Span<const uint64_t>(op.items.data(), op.items.size()));
+      break;
+    case SourceOp::kIngestEpoch:
+      source.IngestEpoch(Span<const EpochRow>(op.rows.data(), op.rows.size()));
+      break;
+    case SourceOp::kAdvance:
+      source.Advance(op.epoch);
+      break;
+    case SourceOp::kRestore:
+      ASSERT_TRUE(source.RestoreSnapshot(op.ring));
+      break;
+  }
+}
+
+// The merged ring is refreshed in place after each mutation: only the
+// epochs that can still change are re-merged, and merge-tree nodes below
+// them survive. Differential check against a fresh source that replays
+// the same ops and merges once, from scratch: after every op the ring's
+// bytes and the last-k views must match exactly. The op mix covers stale
+// stamps, a shard that gets no rows for more epochs than the window
+// holds, producer advances past W, restores of peer rings mid-stream,
+// and decayed mode.
+class WindowedSourceRefreshTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(WindowedSourceRefreshTest, InPlaceRefreshMatchesFreshMergeAfterEveryOp) {
+  ShardedSketchOptions shard;
+  shard.num_shards = 3;
+  shard.seed = 91;
+  WindowedSketchOptions window;
+  window.window_epochs = 8;
+  window.epoch_capacity = 24;  // below the distinct items per epoch
+  window.merged_capacity = 40;
+  window.half_life_epochs = GetParam();
+
+  WindowedSketchSource live(shard, window);
+  const size_t kIdleShard = 2;
+  Rng rng(2024);
+  std::vector<SourceOp> ops;
+  for (int step = 0; step < 90; ++step) {
+    // Steps [15, 55): the idle shard gets no rows while the producer
+    // advances well past the window.
+    const bool idle = step >= 15 && step < 55;
+    auto draw_item = [&] {
+      for (;;) {
+        const uint64_t item = rng.NextBounded(400);
+        if (!idle || live.sharded().ShardOf(item) != kIdleShard) return item;
+      }
+    };
+    SourceOp op;
+    const uint64_t epoch = live.current_epoch();
+    const uint64_t roll = rng.NextBounded(100);
+    if (roll < 40) {
+      op.kind = SourceOp::kIngest;
+      for (uint64_t i = 0, n = 20 + rng.NextBounded(120); i < n; ++i) {
+        op.items.push_back(draw_item());
+      }
+    } else if (roll < 62) {
+      // Stale stamps (credited to each shard's open epoch) mixed with
+      // stamps one ahead of the producer.
+      op.kind = SourceOp::kIngestEpoch;
+      for (uint64_t i = 0, n = 20 + rng.NextBounded(80); i < n; ++i) {
+        const uint64_t back = rng.NextBounded(6);
+        const uint64_t stamp =
+            rng.NextBounded(8) == 0 ? epoch + 1 : epoch - std::min(back, epoch);
+        op.rows.push_back({draw_item(), stamp});
+      }
+    } else if (roll < 85) {
+      op.kind = SourceOp::kAdvance;
+      op.epoch = epoch + 1 + rng.NextBounded(2);
+    } else if (roll < 92) {
+      op.kind = SourceOp::kAdvance;
+      op.epoch = epoch + window.window_epochs + 1 + rng.NextBounded(3);
+    } else {
+      // A peer ring a few epochs behind or ahead of the producer.
+      ShardedSketchOptions peer_shard = shard;
+      peer_shard.num_shards = 2;
+      peer_shard.seed = 500 + static_cast<uint64_t>(step);
+      WindowedSketchSource peer(peer_shard, window);
+      const uint64_t peer_epoch = epoch + rng.NextBounded(4);
+      for (uint64_t e = peer_epoch >= 3 ? peer_epoch - 3 : 0; e <= peer_epoch;
+           ++e) {
+        std::vector<uint64_t> rows;
+        for (int i = 0; i < 60; ++i) {
+          rows.push_back(1000 + rng.NextBounded(200));
+        }
+        peer.Advance(e);
+        peer.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+      }
+      op.kind = SourceOp::kRestore;
+      op.ring = peer.SaveSnapshot();
+    }
+    ApplyOp(op, live);
+    ops.push_back(std::move(op));
+
+    WindowedSketchSource fresh(shard, window);
+    for (const SourceOp& replay : ops) ApplyOp(replay, fresh);
+    ASSERT_EQ(SerializeWindowed(live.MergedRing()),
+              SerializeWindowed(fresh.MergedRing()))
+        << "step " << step;
+    for (size_t last_k : {size_t{1}, size_t{3}, size_t{0}}) {
+      ASSERT_EQ(live.WindowView(last_k).Entries(),
+                fresh.WindowView(last_k).Entries())
+          << "step " << step << " last_k " << last_k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DecayOffAndOn, WindowedSourceRefreshTest,
+                         ::testing::Values(0.0, 2.0));
+
+// Rows into the open epoch re-merge only that epoch while every shard
+// is at it: every closed span the previous query cached survives the
+// refresh, so a repeated last-k query misses no merge-tree node.
+TEST(WindowedSourceTest, OpenEpochIngestKeepsEveryClosedNodeCached) {
+  ShardedSketchOptions shard;
+  shard.num_shards = 3;
+  shard.seed = 93;
+  WindowedSketchOptions window;
+  window.window_epochs = 8;
+  window.epoch_capacity = 32;
+  window.merged_capacity = 64;
+  WindowedSketchSource source(shard, window);
+
+  Rng rng(5);
+  auto ingest = [&] {
+    std::vector<uint64_t> rows;
+    for (int i = 0; i < 300; ++i) rows.push_back(rng.NextBounded(500));
+    source.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+  };
+  for (uint64_t e = 0; e < 12; ++e) {
+    source.Advance(e);
+    ingest();
+  }
+  (void)source.WindowView(8);  // builds the closed spans' nodes
+  ingest();
+  const uint64_t misses = window_metrics::NodeCacheMisses().Value();
+  const uint64_t hits = window_metrics::NodeCacheHits().Value();
+  const uint64_t remerged = window_metrics::EpochsRemerged().Value();
+  const int64_t total = source.WindowView(8).TotalCount();
+  EXPECT_EQ(window_metrics::EpochsRemerged().Value() - remerged, 1u);
+  EXPECT_EQ(window_metrics::NodeCacheMisses().Value(), misses);
+  EXPECT_GT(window_metrics::NodeCacheHits().Value(), hits);
+  EXPECT_EQ(total, 9 * 300);  // the open epoch holds two batches
 }
 
 TEST(WindowWireTest, RestoreFromAheadPeerAdvancesProducerEpoch) {
