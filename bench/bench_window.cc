@@ -18,8 +18,10 @@
 // epoch, ring full): each rep ingests one 8192-row batch (one epoch per
 // 8 batches), then times the in-place ring refresh (MergedRing on the
 // dirty source) and the last_k 1, 8 and 0 views, against a from-scratch
-// epoch-aligned merge of the same fleet state. Each time is reported as
-// the median and min-max over the reps.
+// epoch-aligned merge of the same fleet state. Reps whose batch opened a
+// new epoch are reported apart ("advance": each view rebuilds its
+// closed-span sums) from the rest ("steady": each view patches the open
+// epoch into them). Each time is the median and min-max over the reps.
 //
 // Records baselines with --json=PATH (record_baselines.sh →
 // BENCH_window.json). --smoke runs a tiny W=64 configuration and exits
@@ -27,7 +29,8 @@
 // the uncached path (and their results match exactly) — the CI guard
 // against the big-ring query cliff regressing — or unless the fleet's
 // refreshed ring serializes to the same bytes as a fresh source's full
-// merge of the same rows.
+// merge of the same rows, or a fleet view differs from the merged
+// ring's uncached window at k in {1, 8, 0}.
 
 #include <algorithm>
 #include <chrono>
@@ -66,14 +69,17 @@ Spread SpreadOf(std::vector<double> us) {
 }
 
 // The fleet row (see the header). Returns the smoke failure count: the
-// refreshed ring must serialize exactly as a fresh source's full merge.
+// refreshed ring must serialize exactly as a fresh source's full merge,
+// and each view must equal the merged ring's uncached window.
 int FleetBench(const std::vector<uint64_t>& stream, bool smoke,
                bench::JsonSink& json) {
   constexpr size_t kEpochs = 64;
   constexpr size_t kBins = 1024;
   constexpr size_t kBatch = 8192;
   constexpr size_t kBatchesPerEpoch = 8;
-  const int64_t reps = smoke ? 5 : 16;
+  // Rep r opens a new epoch when r is a multiple of kBatchesPerEpoch, so
+  // either count leaves both phases at least one rep.
+  const int64_t reps = smoke ? 5 : 32;
   if (stream.size() < kBatch) {
     std::printf("\n-- window fleet: skipped, the stream has %zu rows and a "
                 "batch needs %zu --\n",
@@ -84,8 +90,8 @@ int FleetBench(const std::vector<uint64_t>& stream, bool smoke,
   std::printf("\n-- window fleet: WindowedSketchSource, W=%zu, %zu bins/epoch, "
               "%zu-row batches, %lld reps (median [min-max] us) --\n",
               kEpochs, kBins, kBatch, static_cast<long long>(reps));
-  std::printf("%-7s %22s %22s %22s %22s %22s\n", "shards", "refresh_us",
-              "view_last1_us", "view_last8_us", "view_full_us",
+  std::printf("%-7s %-8s %22s %22s %22s %22s %22s\n", "shards", "phase",
+              "refresh_us", "view_last1_us", "view_last8_us", "view_full_us",
               "full_merge_us");
   for (size_t shards : {size_t{1}, size_t{4}}) {
     ShardedSketchOptions shard;
@@ -116,7 +122,9 @@ int FleetBench(const std::vector<uint64_t>& stream, bool smoke,
     for (; batch < kEpochs * kBatchesPerEpoch; ++batch) feed(batch);
     (void)live.View();  // the ready barrier: one full merge
 
-    std::vector<double> refresh, last1, last8, full, remerge;
+    // Per phase (0 steady, 1 advance): refresh, last_k 1, 8, 0, remerge.
+    constexpr size_t kColumns = 5;
+    std::vector<double> times[2][kColumns];
     int64_t sink = 0;
     auto time_us = [](auto&& fn) {
       const Clock::time_point start = Clock::now();
@@ -124,18 +132,20 @@ int FleetBench(const std::vector<uint64_t>& stream, bool smoke,
       return SecondsSince(start) * 1e6;
     };
     for (int64_t r = 0; r < reps; ++r, ++batch) {
+      const int phase = batch % kBatchesPerEpoch == 0 ? 1 : 0;
+      std::vector<double>* col = times[phase];
       feed(batch);
       live.Flush();  // the drain is ingest's cost, not the refresh's
-      refresh.push_back(time_us([&] { (void)live.MergedRing(); }));
+      col[0].push_back(time_us([&] { (void)live.MergedRing(); }));
       auto view_us = [&](size_t last_k) {
         return time_us([&] { sink += live.WindowView(last_k).TotalCount(); });
       };
-      last1.push_back(view_us(1));
-      last8.push_back(view_us(8));
-      full.push_back(view_us(0));
+      col[1].push_back(view_us(1));
+      col[2].push_back(view_us(8));
+      col[3].push_back(view_us(0));
       const std::vector<const WindowedSpaceSaving*> parts =
           live.sharded().Parts();
-      remerge.push_back(time_us([&] {
+      col[4].push_back(time_us([&] {
         WindowedSpaceSaving ring = MergeShards(parts, kBins, 7);
         ring.AdvanceTo(live.current_epoch());
         sink += static_cast<int64_t>(ring.TotalRows());
@@ -143,42 +153,60 @@ int FleetBench(const std::vector<uint64_t>& stream, bool smoke,
     }
     if (sink == -1) std::printf("?");  // keep the work live
 
-    const Spread spreads[] = {SpreadOf(refresh), SpreadOf(last1),
-                              SpreadOf(last8), SpreadOf(full),
-                              SpreadOf(remerge)};
-    std::printf("%-7zu", shards);
-    for (const Spread& sp : spreads) {
-      std::printf(" %8.1f [%5.0f-%5.0f]", sp.median, sp.min, sp.max);
-    }
-    std::printf("\n");
-    if (json.enabled()) {
-      json.BeginRecord("window_fleet");
-      json.Add("shards", static_cast<int64_t>(shards));
-      json.Add("window_epochs", static_cast<int64_t>(kEpochs));
-      json.Add("epoch_bins", static_cast<int64_t>(kBins));
-      json.Add("batch_rows", static_cast<int64_t>(kBatch));
-      json.Add("batches_per_epoch", static_cast<int64_t>(kBatchesPerEpoch));
-      json.Add("reps", reps);
-      const char* names[] = {"refresh_us", "view_last1_us", "view_last8_us",
-                             "view_full_us", "full_merge_us"};
-      for (size_t i = 0; i < 5; ++i) {
-        const std::string name = names[i];
-        json.Add(name + "_median", spreads[i].median);
-        json.Add(name + "_min", spreads[i].min);
-        json.Add(name + "_max", spreads[i].max);
+    const char* phase_names[] = {"steady", "advance"};
+    const char* names[] = {"refresh_us", "view_last1_us", "view_last8_us",
+                           "view_full_us", "full_merge_us"};
+    for (int phase = 0; phase < 2; ++phase) {
+      std::printf("%-7zu %-8s", shards, phase_names[phase]);
+      Spread spreads[kColumns];
+      for (size_t i = 0; i < kColumns; ++i) {
+        spreads[i] = SpreadOf(times[phase][i]);
+        std::printf(" %8.1f [%5.0f-%5.0f]", spreads[i].median, spreads[i].min,
+                    spreads[i].max);
+      }
+      std::printf("\n");
+      if (json.enabled()) {
+        json.BeginRecord("window_fleet");
+        json.Add("shards", static_cast<int64_t>(shards));
+        json.Add("phase", phase_names[phase]);
+        json.Add("window_epochs", static_cast<int64_t>(kEpochs));
+        json.Add("epoch_bins", static_cast<int64_t>(kBins));
+        json.Add("batch_rows", static_cast<int64_t>(kBatch));
+        json.Add("batches_per_epoch", static_cast<int64_t>(kBatchesPerEpoch));
+        json.Add("reps", static_cast<int64_t>(times[phase][0].size()));
+        for (size_t i = 0; i < kColumns; ++i) {
+          const std::string name = names[i];
+          json.Add(name + "_median", spreads[i].median);
+          json.Add(name + "_min", spreads[i].min);
+          json.Add(name + "_max", spreads[i].max);
+        }
       }
     }
-    if (smoke && SerializeWindowed(live.MergedRing()) !=
-                     SerializeWindowed(mirror.MergedRing())) {
+    if (!smoke) continue;
+    if (SerializeWindowed(live.MergedRing()) !=
+        SerializeWindowed(mirror.MergedRing())) {
       std::printf("FAIL: refreshed ring != full merge at %zu shards\n",
                   shards);
       ++failures;
     }
+    for (size_t last_k : {size_t{1}, size_t{8}, size_t{0}}) {
+      if (live.WindowView(last_k).Entries() !=
+          live.MergedRing()
+              .QueryWindowUncached(last_k, window.merged_capacity,
+                                   live.MergeSeed())
+              .Entries()) {
+        std::printf("FAIL: view last_k=%zu != uncached window at %zu shards\n",
+                    last_k, shards);
+        ++failures;
+      }
+    }
   }
   std::printf(
       "(refresh re-merges only the epochs that can still change and keeps\n"
-      " the merge tree below them; full_merge_us is the from-scratch\n"
-      " epoch-aligned merge of the same fleet state)\n");
+      " the merge tree below them; a steady view patches the open epoch into\n"
+      " memoized closed-span sums, the first view after an advance rebuilds\n"
+      " them; full_merge_us is the from-scratch epoch-aligned merge of the\n"
+      " same fleet state)\n");
   return failures;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 
 #include "util/logging.h"
 
@@ -130,6 +131,69 @@ void CombineByItem(std::vector<SketchEntry>& entries) {
     }
   }
   entries.resize(w);
+}
+
+std::vector<uint32_t> CanonicalizeByItem(std::vector<SketchEntry>& entries) {
+  const size_t n = entries.size();
+  DSKETCH_CHECK(n <= UINT32_MAX);
+  DSKETCH_DCHECK(std::is_sorted(entries.begin(), entries.end(), ItemLess()));
+  // order[i]: the item rank of the entry that goes to position i. LSD
+  // passes over the count bytes that differ, starting from rank order.
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  if (n > 1) {
+    const uint64_t high0 = RadixKey::High(entries[0]);
+    uint64_t diff = 0;
+    for (const SketchEntry& e : entries) diff |= RadixKey::High(e) ^ high0;
+    int shifts[8];
+    int num_passes = 0;
+    for (int b = 0; b < 8; ++b) {
+      if ((diff >> (8 * b)) & 0xff) shifts[num_passes++] = 8 * b;
+    }
+    uint32_t hist[8][256];
+    for (int p = 0; p < num_passes; ++p) {
+      std::fill(std::begin(hist[p]), std::end(hist[p]), 0);
+    }
+    for (const SketchEntry& e : entries) {
+      const uint64_t high = RadixKey::High(e);
+      for (int p = 0; p < num_passes; ++p) {
+        ++hist[p][(high >> shifts[p]) & 0xff];
+      }
+    }
+    std::vector<uint32_t> scratch(num_passes > 0 ? n : 0);
+    for (int p = 0; p < num_passes; ++p) {
+      uint32_t* h = hist[p];
+      uint32_t offset = 0;
+      for (int v = 0; v < 256; ++v) {
+        const uint32_t c = h[v];
+        h[v] = offset;
+        offset += c;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = order[i];
+        scratch[h[(RadixKey::High(entries[r]) >> shifts[p]) & 0xff]++] = r;
+      }
+      order.swap(scratch);
+    }
+  }
+  std::vector<uint32_t> index(n);
+  for (size_t i = 0; i < n; ++i) index[order[i]] = static_cast<uint32_t>(i);
+  // Gather along the permutation's cycles; a finished position points
+  // at itself.
+  for (size_t i = 0; i < n; ++i) {
+    if (order[i] == i) continue;
+    const SketchEntry first = entries[i];
+    size_t j = i;
+    while (order[j] != i) {
+      const size_t k = order[j];
+      entries[j] = entries[k];
+      order[j] = static_cast<uint32_t>(j);
+      j = k;
+    }
+    entries[j] = first;
+    order[j] = static_cast<uint32_t>(j);
+  }
+  return index;
 }
 
 }  // namespace dsketch

@@ -15,6 +15,7 @@
 #ifndef DSKETCH_CORE_ENTRY_ORDER_H_
 #define DSKETCH_CORE_ENTRY_ORDER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/sketch_entry.h"
@@ -34,6 +35,14 @@ void SortEntries(std::vector<SketchEntry>& entries, EntryOrder order);
 /// Sums the counts of duplicate labels in place; the result is in
 /// kByItem order, one entry per label.
 void CombineByItem(std::vector<SketchEntry>& entries);
+
+/// Moves `entries`, which must be in kByItem order, into kCanonical
+/// order in place and returns their item-order index: entry r of the
+/// item order now sits at position index[r]. Input order already breaks
+/// count ties by item, so only the count bytes are sorted on — a stable
+/// radix sort of the 4-byte ranks — and no second copy of the entries
+/// is made.
+std::vector<uint32_t> CanonicalizeByItem(std::vector<SketchEntry>& entries);
 
 }  // namespace dsketch
 

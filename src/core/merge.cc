@@ -129,7 +129,7 @@ UnbiasedSpaceSaving SketchFromEntries(std::vector<SketchEntry> combined,
   // Canonical order even when no reduction runs: the loaded bin order
   // (and so the sketch's internal layout) is a function of the entry
   // multiset, not of how the caller assembled it. Pre-sorted input
-  // (e.g. the windowed combine memo replaying under a fresh seed) skips
+  // (e.g. a window's closed-span sums patched with its open epoch) skips
   // straight to the reduction.
   SortEntries(combined, EntryOrder::kCanonical);
   Rng rng(seed);

@@ -120,28 +120,26 @@ void FlightRecorder::Record(const Span& span) {
                                         std::memory_order_relaxed)) {
     return;
   }
-  // The payload stores below must not become visible before the claim:
-  // this release fence pairs with the acquire fence in CopySlot, so a
-  // reader that observed any of them is guaranteed to see a changed
-  // stamp on its re-check.
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.name.store(span.name, std::memory_order_relaxed);
+  // The payload stores are releases and CopySlot's payload loads are
+  // acquires (Boehm, MSPC 2012): a reader that observed any of these
+  // stores also observes the claim above, so its stamp re-check fails.
+  slot.name.store(span.name, std::memory_order_release);
   slot.layer.store(static_cast<uint8_t>(span.layer),
-                   std::memory_order_relaxed);
-  slot.trace_id.store(span.trace_id, std::memory_order_relaxed);
-  slot.span_id.store(span.span_id, std::memory_order_relaxed);
-  slot.parent_id.store(span.parent_id, std::memory_order_relaxed);
-  slot.start_us.store(span.start_us, std::memory_order_relaxed);
-  slot.end_us.store(span.end_us, std::memory_order_relaxed);
+                   std::memory_order_release);
+  slot.trace_id.store(span.trace_id, std::memory_order_release);
+  slot.span_id.store(span.span_id, std::memory_order_release);
+  slot.parent_id.store(span.parent_id, std::memory_order_release);
+  slot.start_us.store(span.start_us, std::memory_order_release);
+  slot.end_us.store(span.end_us, std::memory_order_release);
   const uint32_t n_ann =
       span.num_annotations <= Span::kMaxAnnotations
           ? span.num_annotations
           : static_cast<uint32_t>(Span::kMaxAnnotations);
-  slot.num_annotations.store(n_ann, std::memory_order_relaxed);
+  slot.num_annotations.store(n_ann, std::memory_order_release);
   for (uint32_t i = 0; i < n_ann; ++i) {
-    slot.ann_key[i].store(span.annotations[i].key, std::memory_order_relaxed);
+    slot.ann_key[i].store(span.annotations[i].key, std::memory_order_release);
     slot.ann_value[i].store(span.annotations[i].value,
-                            std::memory_order_relaxed);
+                            std::memory_order_release);
   }
   slot.seq.store(ticket + 1, std::memory_order_release);
 }
@@ -153,28 +151,26 @@ bool FlightRecorder::CopySlot(const Slot& slot, uint64_t ticket,
   // a newer lap, is mid-write (kSlotWriting), or never completed; its
   // payload belongs elsewhere.
   if (seq_before != ticket + 1) return false;
-  out->name = slot.name.load(std::memory_order_relaxed);
+  out->name = slot.name.load(std::memory_order_acquire);
   out->layer =
-      static_cast<TraceLayer>(slot.layer.load(std::memory_order_relaxed));
-  out->trace_id = slot.trace_id.load(std::memory_order_relaxed);
-  out->span_id = slot.span_id.load(std::memory_order_relaxed);
-  out->parent_id = slot.parent_id.load(std::memory_order_relaxed);
-  out->start_us = slot.start_us.load(std::memory_order_relaxed);
-  out->end_us = slot.end_us.load(std::memory_order_relaxed);
-  uint32_t n_ann = slot.num_annotations.load(std::memory_order_relaxed);
+      static_cast<TraceLayer>(slot.layer.load(std::memory_order_acquire));
+  out->trace_id = slot.trace_id.load(std::memory_order_acquire);
+  out->span_id = slot.span_id.load(std::memory_order_acquire);
+  out->parent_id = slot.parent_id.load(std::memory_order_acquire);
+  out->start_us = slot.start_us.load(std::memory_order_acquire);
+  out->end_us = slot.end_us.load(std::memory_order_acquire);
+  uint32_t n_ann = slot.num_annotations.load(std::memory_order_acquire);
   if (n_ann > Span::kMaxAnnotations) n_ann = Span::kMaxAnnotations;
   out->num_annotations = n_ann;
   for (uint32_t i = 0; i < n_ann; ++i) {
-    out->annotations[i].key = slot.ann_key[i].load(std::memory_order_relaxed);
+    out->annotations[i].key = slot.ann_key[i].load(std::memory_order_acquire);
     out->annotations[i].value =
-        slot.ann_value[i].load(std::memory_order_relaxed);
+        slot.ann_value[i].load(std::memory_order_acquire);
   }
   // Discard torn slots: a producer may have claimed this slot while the
-  // fields were being copied. The acquire fence pairs with Record()'s
-  // release fence — the field loads above cannot drift past the stamp
-  // re-check, so a producer that touched any of them has provably
-  // changed seq by the time it is re-read.
-  std::atomic_thread_fence(std::memory_order_acquire);
+  // fields were being copied. The acquire loads above cannot drift past
+  // the stamp re-check, and one that read a producer's release store
+  // makes that producer's claim visible to it.
   if (slot.seq.load(std::memory_order_relaxed) != seq_before) return false;
   return out->name != nullptr;
 }

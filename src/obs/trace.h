@@ -22,21 +22,22 @@
 //
 // Cost model: an inert ScopedSpan (no open trace) is one thread-local
 // load and a branch. Under an open trace a span close is ~a dozen
-// relaxed atomic stores into the flight recorder plus, when sampling is
-// on, one bounded vector append. -DDSKETCH_NO_METRICS=ON compiles
-// ScopedTrace/ScopedSpan to empty structs, so all span recording
-// disappears from the instrumented code paths entirely.
+// release stores (plain moves on x86) into the flight recorder plus,
+// when sampling is on, one bounded vector append.
+// -DDSKETCH_NO_METRICS=ON compiles ScopedTrace/ScopedSpan to empty
+// structs, so all span recording disappears from the instrumented code
+// paths entirely.
 //
 // Threading: trace context is thread_local (one request pipeline per
 // serving thread — SketchServer's model). The flight recorder accepts
 // concurrent producers from any thread: a relaxed fetch_add hands out
 // slot tickets and each slot is a small seqlock — the producer swings
 // the slot's stamp to an in-progress sentinel (CAS; the loser drops its
-// span), writes the payload, then release-publishes ticket + 1, and
-// readers re-check the stamp after copying — so dumps taken under fire
-// discard in-progress or overwritten slots instead of tearing. The
-// recent-traces ring is mutex-guarded — it is only touched at
-// publish/scrape time, never per span.
+// span), release-stores the payload, then release-publishes ticket + 1,
+// and readers acquire-load the payload and re-check the stamp — so
+// dumps taken under fire discard in-progress or overwritten slots
+// instead of tearing. The recent-traces ring is mutex-guarded — it is
+// only touched at publish/scrape time, never per span.
 
 #ifndef DSKETCH_OBS_TRACE_H_
 #define DSKETCH_OBS_TRACE_H_

@@ -110,9 +110,10 @@ class WindowedSketchSource final : public SketchSource {
   /// RestoreSnapshot *or* the next WindowView call with a different
   /// non-zero last_k (the full-window view is cached separately and
   /// only invalidated by state changes). Both views are thin
-  /// materializations over the merged ring's hierarchical merge cache:
-  /// a miss costs one O(log W) cached-partial assembly, not an O(W)
-  /// re-merge.
+  /// materializations over the merged ring's caches: a miss patches the
+  /// open epoch into the ring's memoized closed-span sums, and only the
+  /// first view after the window moves rebuilds those sums from O(log W)
+  /// cached merge-tree partials — never an O(W) re-merge.
   const UnbiasedSpaceSaving& WindowView(size_t last_k) {
     // Opened before MergedRing() so a dirty ring's fleet snapshot
     // (shard_drain / snapshot_merge) nests under this span. The
@@ -216,9 +217,10 @@ class WindowedSketchSource final : public SketchSource {
   /// The underlying fleet (tests/embedders).
   ShardedWindowedSketch& sharded() { return *sharded_; }
 
- private:
+  /// The seed of every view's final reduction at the producer epoch.
   uint64_t MergeSeed() const { return seed_ + 2000003 + epoch_; }
 
+ private:
   // Every mutation ends handed-out view validity *here*, eagerly — not
   // lazily at the next read. This is what makes the documented contract
   // ("references valid until the next Ingest/Advance/Restore") true:

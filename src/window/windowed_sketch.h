@@ -21,21 +21,22 @@
 // "every epoch counts, geometrically less" — the two standard
 // time-scoped weightings.
 //
-// Query cost: QueryWindow is backed by an incremental hierarchical
-// merge cache — a binary merge tree over aligned epoch spans. Closed
-// epochs are immutable, so the exact per-span entry sums (integer
-// addition is associative) are cached per (level, block) node and a
-// last-k query assembles its combined entry set from O(log W) cached
-// partials plus the open epoch's live entries, instead of re-merging
-// all W slots pairwise from scratch. Partials are kept in label order
-// (sorted once, by core/entry_order's radix SortEntries) so they combine
-// by linear merges; the combined set is brought into the canonical
-// (count, item) order by the same helper. Only the open epoch is ever
-// uncached (ingest invalidates nothing but a small combine memo);
-// advancing the window evicts just the nodes that fell off the ring's
-// left edge. A merged fleet ring survives ingest the same way:
-// MergeShardsFrom refreshes it in place through ReplaceTail, which
-// re-merges only the epochs that can still change and keeps the nodes
+// Query cost: QueryWindow is backed by two caches. A binary merge tree
+// over aligned epoch spans caches, per (level, block) node, the exact
+// item-sorted entry sums of its closed epochs (integer addition is
+// associative, closed epochs are immutable), so the closed part of any
+// last-k window is O(log W) node partials combined by linear merges. A
+// closed-span memo keeps, per last_k, that combination in the canonical
+// (count, item) order with a 4-byte item-order index. Ingest writes only
+// the open epoch, so the memo survives it: a query patches the open
+// epoch's entries in (a binary search per open item, a radix sort of the
+// at most epoch_capacity patched entries, one linear merge) and hands the
+// already-canonical result to the reduction. Advancing the window moves
+// every last-k window to a new closed span, which the next query builds
+// from the tree, and evicts just the nodes that fell off the ring's left
+// edge. A merged fleet ring survives ingest the same way: MergeShardsFrom
+// refreshes it in place through ReplaceTail, which re-merges only the
+// epochs that can still change and keeps the nodes and memo entries
 // below them. QueryWindowUncached keeps the from-scratch path for
 // benchmarks and cross-checks.
 //
@@ -123,9 +124,10 @@ struct EpochRow {
 
 // Window-layer telemetry (obs/metrics.h), shared by every windowed
 // sketch in the process: merge-cache effectiveness (node hits/misses
-// and the level partial reuse lands at), combine-memo effectiveness,
-// decay-fold cost, and fast-forward jumps. Handles are function-local
-// statics, so the query/ingest paths only touch relaxed atomics.
+// and the level partial reuse lands at), closed-span memo effectiveness
+// (the combine_memo families), decay-fold cost, and fast-forward jumps.
+// Handles are function-local statics, so the query/ingest paths only
+// touch relaxed atomics.
 namespace window_metrics {
 
 inline obs::Counter& NodeCacheHits() {
@@ -226,7 +228,6 @@ class WindowedSketch {
   /// Processes one row in the open epoch; auto-advances first in
   /// row-count mode.
   void Update(uint64_t item) {
-    ++open_version_;
     MaybeAutoAdvance();
     ring_.back().sketch.Update(item);
     ++rows_in_epoch_;
@@ -235,7 +236,6 @@ class WindowedSketch {
 
   /// Batch form of Update (same auto-advance semantics per row chunk).
   void UpdateBatch(Span<const uint64_t> items) {
-    ++open_version_;
     size_t pos = 0;
     while (pos < items.size()) {
       MaybeAutoAdvance();
@@ -262,7 +262,6 @@ class WindowedSketch {
   /// the sharded fleet).
   void UpdateBatch(Span<const EpochRow> rows) {
     DSKETCH_CHECK(options_.rows_per_epoch == 0);
-    ++open_version_;
     size_t pos = 0;
     while (pos < rows.size()) {
       const uint64_t epoch = rows[pos].epoch;
@@ -293,7 +292,6 @@ class WindowedSketch {
   /// timestamp, or a hostile 2^64-1) never spins per skipped epoch.
   void AdvanceTo(uint64_t epoch) {
     if (epoch <= CurrentEpoch()) return;
-    ++open_version_;
     if (epoch - CurrentEpoch() > options_.window_epochs) {
       FastForwardTo(epoch);
       return;
@@ -314,9 +312,9 @@ class WindowedSketch {
   /// Unbiased merged view of the newest min(last_k, ring) epochs with
   /// `capacity` bins, reduced with `merge_seed` (single final pairwise
   /// reduction — identical to MergeShards over the same epoch sketches).
-  /// last_k == 0 means the full ring. Assembled from the hierarchical
-  /// merge cache: O(log W) cached closed-span partials plus the open
-  /// epoch's live entries, bit-identical to QueryWindowUncached.
+  /// last_k == 0 means the full ring. Assembled from the memoized
+  /// closed-span sums patched with the open epoch's live entries,
+  /// bit-identical to QueryWindowUncached.
   S QueryWindow(size_t last_k, size_t capacity, uint64_t merge_seed) const {
     if (last_k == 0 || last_k > ring_.size()) last_k = ring_.size();
     return SketchFromEntries(WindowCombined(last_k), capacity, merge_seed);
@@ -432,8 +430,11 @@ class WindowedSketch {
     rows_in_epoch_ = rows_in_epoch;
     total_rows_ = total_rows;
     pending_.clear();
-    combine_memo_.clear();
-    EvictNodes(from);  // nodes reaching `from` cached replaced slots
+    // Memo entries and nodes reaching `from` summed replaced slots.
+    for (auto it = closed_memo_.begin(); it != closed_memo_.end();) {
+      it = it->second.hi > from ? closed_memo_.erase(it) : std::next(it);
+    }
+    EvictNodes(from);
   }
 
  private:
@@ -603,42 +604,55 @@ class WindowedSketch {
     return node_cache_.emplace(key, std::move(entries)).first->second;
   }
 
-  // The combined exact entry sums of the newest `last_k` slots
-  // (1 <= last_k <= ring size), memoized in the canonical reduce-ready
-  // (count, item) order: repeated queries of unchanged state — any
-  // capacity or merge seed — skip straight to the final collapse.
-  const std::vector<SketchEntry>& WindowCombined(size_t last_k) const {
-    auto mit = combine_memo_.find(last_k);
-    if (mit != combine_memo_.end() && mit->second.version == open_version_) {
+  // The exact item sums of the window's closed epochs [lo, hi), hi the
+  // open epoch, in the canonical (count, item) order, plus each entry's
+  // canonical position in item order. Rows land only in the open epoch,
+  // so an entry outlives ingest: advancing moves lo/hi off its key, and
+  // ReplaceTail drops the entries whose span it rewrote.
+  struct ClosedSpan {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    std::vector<SketchEntry> canonical;
+    std::vector<uint32_t> by_item;  // canonical[by_item[r]]: item rank r
+  };
+
+  // The closed-span sums of the newest `last_k` slots (1 <= last_k <= ring
+  // size), memoized per last_k.
+  const ClosedSpan& ClosedSums(size_t last_k) const {
+    const uint64_t lo = ring_[ring_.size() - last_k].epoch;
+    const uint64_t hi = CurrentEpoch();
+    auto it = closed_memo_.find(last_k);
+    if (it != closed_memo_.end() && it->second.lo == lo &&
+        it->second.hi == hi) {
       window_metrics::CombineMemoHits().Inc();
-      return mit->second.combined;
+      return it->second;
     }
     window_metrics::CombineMemoMisses().Inc();
-    // Closed part: canonical segment decomposition of the epoch range
-    // [first suffix epoch, open epoch) into O(log W) aligned nodes.
-    std::vector<const std::vector<SketchEntry>*> parts;
-    if (last_k >= 2) {
-      uint64_t l = ring_[ring_.size() - last_k].epoch;
-      uint64_t r = CurrentEpoch();
-      uint32_t level = 0;
-      while (l < r) {
-        if (l & 1) parts.push_back(&NodeEntries(level, l++));
-        if (r & 1) parts.push_back(&NodeEntries(level, --r));
-        l >>= 1;
-        r >>= 1;
-        ++level;
-      }
+    if (it != closed_memo_.end()) {
+      closed_memo_.erase(it);  // stale: free it before building anew
+    } else if (closed_memo_.size() >= 8) {
+      closed_memo_.clear();
     }
-    std::vector<SketchEntry> open = ring_.back().sketch.Entries();
-    SortEntries(open, EntryOrder::kByItem);
+    // Canonical segment decomposition of [lo, hi) into O(log W) aligned
+    // nodes.
+    std::vector<const std::vector<SketchEntry>*> parts;
+    uint64_t l = lo;
+    uint64_t r = hi;
+    uint32_t level = 0;
+    while (l < r) {
+      if (l & 1) parts.push_back(&NodeEntries(level, l++));
+      if (r & 1) parts.push_back(&NodeEntries(level, --r));
+      l >>= 1;
+      r >>= 1;
+      ++level;
+    }
     // Balanced pairwise merges (n log k element moves, not k·n).
     std::vector<std::vector<SketchEntry>> round;
-    round.reserve(parts.size() / 2 + 2);
+    round.reserve(parts.size() / 2 + 1);
     for (size_t i = 0; i + 1 < parts.size(); i += 2) {
       round.push_back(MergeByItem(*parts[i], *parts[i + 1]));
     }
     if (parts.size() % 2 == 1) round.push_back(*parts.back());
-    round.push_back(std::move(open));
     while (round.size() > 1) {
       std::vector<std::vector<SketchEntry>> next;
       next.reserve(round.size() / 2 + 1);
@@ -648,13 +662,67 @@ class WindowedSketch {
       if (round.size() % 2 == 1) next.push_back(std::move(round.back()));
       round = std::move(next);
     }
-    std::vector<SketchEntry> combined = std::move(round.front());
-    SortEntries(combined, EntryOrder::kCanonical);
-    if (combine_memo_.size() >= 8) combine_memo_.clear();
-    CombineMemo& memo = combine_memo_[last_k];
-    memo.version = open_version_;
-    memo.combined = std::move(combined);
-    return memo.combined;
+    ClosedSpan& span = closed_memo_[last_k];
+    span.lo = lo;
+    span.hi = hi;
+    if (!round.empty()) span.canonical = std::move(round.front());
+    span.by_item = CanonicalizeByItem(span.canonical);
+    return span;
+  }
+
+  // The combined exact entry sums of the newest `last_k` slots in
+  // canonical order: the memoized closed span patched with the open
+  // epoch. Each open item takes over its closed sum, the patched entries
+  // are sorted, and each is spliced in at its binary-searched position
+  // while the closed span is copied in runs around the positions they
+  // replaced.
+  std::vector<SketchEntry> WindowCombined(size_t last_k) const {
+    const ClosedSpan& closed = ClosedSums(last_k);
+    std::vector<SketchEntry> open = ring_.back().sketch.Entries();
+    SortEntries(open, EntryOrder::kByItem);
+    std::vector<uint32_t> replaced;
+    replaced.reserve(open.size());
+    auto first = closed.by_item.begin();
+    for (SketchEntry& e : open) {
+      // Open items ascend, so each search starts past the previous hit.
+      first = std::lower_bound(first, closed.by_item.end(), e.item,
+                               [&](uint32_t pos, uint64_t item) {
+                                 return closed.canonical[pos].item < item;
+                               });
+      if (first == closed.by_item.end()) break;
+      if (closed.canonical[*first].item == e.item) {
+        e.count += closed.canonical[*first].count;
+        replaced.push_back(*first);
+      }
+    }
+    SortEntries(open, EntryOrder::kCanonical);
+    std::sort(replaced.begin(), replaced.end());
+    const std::vector<SketchEntry>& sums = closed.canonical;
+    std::vector<SketchEntry> combined;
+    combined.reserve(sums.size() - replaced.size() + open.size());
+    // Appends sums[next, end) minus the replaced positions, run by run.
+    size_t next = 0;
+    size_t skip = 0;
+    auto copy_sums_to = [&](size_t end) {
+      for (; skip < replaced.size() && replaced[skip] < end; ++skip) {
+        combined.insert(combined.end(), sums.begin() + next,
+                        sums.begin() + replaced[skip]);
+        next = replaced[skip] + 1;
+      }
+      combined.insert(combined.end(), sums.begin() + next, sums.begin() + end);
+      next = end;
+    };
+    auto canonical_less = [](const SketchEntry& a, const SketchEntry& b) {
+      return a.count != b.count ? a.count < b.count : a.item < b.item;
+    };
+    for (const SketchEntry& e : open) {
+      copy_sums_to(static_cast<size_t>(
+          std::lower_bound(sums.begin() + next, sums.end(), e, canonical_less) -
+          sums.begin()));
+      combined.push_back(e);
+    }
+    copy_sums_to(sums.size());
+    return combined;
   }
 
   // Drops the cached nodes whose span lies entirely left of the ring or
@@ -671,7 +739,7 @@ class WindowedSketch {
 
   void ClearMergeCache() {
     node_cache_.clear();
-    combine_memo_.clear();
+    closed_memo_.clear();
   }
 
   WindowedSketchOptions options_;
@@ -684,18 +752,10 @@ class WindowedSketch {
   // Closed epochs stashed for the next batched decay fold (epoch id +
   // that epoch's full-weight entries).
   std::vector<std::pair<uint64_t, std::vector<WeightedEntry>>> pending_;
-  // Bumped by every mutation that can change a query's combined entry
-  // set (ingest into the open epoch, advances, restores); versions the
-  // combine memo. Node entries never need versioning — closed spans are
-  // immutable and restores clear the cache outright.
-  uint64_t open_version_ = 0;
   mutable std::map<std::pair<uint32_t, uint64_t>, std::vector<SketchEntry>>
       node_cache_;
-  struct CombineMemo {
-    uint64_t version = 0;
-    std::vector<SketchEntry> combined;
-  };
-  mutable std::map<size_t, CombineMemo> combine_memo_;
+  // Closed-span sums per last_k, at most 8 of them.
+  mutable std::map<size_t, ClosedSpan> closed_memo_;
 };
 
 /// The windowed form of the paper's primary sketch — what the wire,

@@ -323,6 +323,79 @@ TEST(WindowedSketchTest, RestoreMidStreamRebuildsWarmMergeCache) {
   }
 }
 
+// The closed-span memo outlives open-epoch ingest, so every other way a
+// window's closed epochs can change must retire it. Differential check
+// of an unsharded ring: after every op — single-row updates, batches
+// that cross row-count epoch boundaries, AdvanceTo steps and gaps past
+// the window, and LoadState of a donor ring whose clock matches the
+// ring's (so only the memo's retirement tells the old sums from the
+// donor's) or runs ahead of it — QueryWindow equals QueryWindowUncached.
+// Every fifth op also cycles through more distinct last_k values than
+// the memo keeps, so evicted entries are rebuilt.
+TEST(WindowedSketchTest, MemoizedWindowsMatchUncachedAfterEveryOp) {
+  WindowedSketchOptions opt;
+  opt.window_epochs = 12;
+  opt.epoch_capacity = 24;  // below the distinct items per epoch
+  opt.merged_capacity = 40;
+  opt.rows_per_epoch = 70;
+  opt.seed = 503;
+  WindowedSpaceSaving sketch(opt);
+  Rng rng(29);
+  auto batch = [&](uint64_t base) {
+    std::vector<uint64_t> rows;
+    for (uint64_t i = 0, n = 10 + rng.NextBounded(150); i < n; ++i) {
+      rows.push_back(base + rng.NextBounded(90));
+    }
+    return rows;
+  };
+  auto expect_identical = [&](size_t last_k, int step) {
+    const uint64_t ms = 40 + static_cast<uint64_t>(step);
+    ASSERT_EQ(sketch.QueryWindow(last_k, 40, ms).Entries(),
+              sketch.QueryWindowUncached(last_k, 40, ms).Entries())
+        << "step " << step << " last_k " << last_k;
+  };
+  for (int step = 0; step < 150; ++step) {
+    const uint64_t roll = rng.NextBounded(100);
+    if (roll < 20) {
+      sketch.Update(rng.NextBounded(90));
+    } else if (roll < 60) {
+      const std::vector<uint64_t> rows = batch(0);
+      sketch.UpdateBatch(Span<const uint64_t>(rows.data(), rows.size()));
+    } else if (roll < 75) {
+      sketch.AdvanceTo(sketch.CurrentEpoch() + 1 + rng.NextBounded(3));
+    } else if (roll < 82) {
+      sketch.AdvanceTo(sketch.CurrentEpoch() + opt.window_epochs + 1 +
+                       rng.NextBounded(3));
+    } else {
+      // A donor over disjoint labels, stepped through the ring's epochs
+      // (and sometimes a few past them); some epochs stay empty.
+      WindowedSketchOptions donor_opt = opt;
+      donor_opt.rows_per_epoch = 0;
+      WindowedSpaceSaving donor(donor_opt);
+      const uint64_t newest =
+          sketch.CurrentEpoch() +
+          (rng.NextBounded(2) == 0 ? 0 : 1 + rng.NextBounded(3));
+      for (uint64_t e = sketch.slots().front().epoch; e <= newest; ++e) {
+        donor.AdvanceTo(e);
+        if (rng.NextBounded(4) == 0) continue;
+        const std::vector<uint64_t> rows = batch(1000);
+        donor.UpdateBatch(Span<const uint64_t>(rows.data(), rows.size()));
+      }
+      sketch.LoadState(donor.slots(), donor.decayed_accumulator(),
+                       donor.RowsInCurrentEpoch(), donor.TotalRows());
+    }
+    for (size_t last_k : {size_t{1}, size_t{2}, size_t{3}, size_t{8},
+                          size_t{0}}) {
+      expect_identical(last_k, step);
+    }
+    if (step % 5 == 0) {
+      for (size_t last_k = 1; last_k <= opt.window_epochs; ++last_k) {
+        expect_identical(last_k, step);
+      }
+    }
+  }
+}
+
 TEST(WindowedSketchTest, DecayedViewTracksAnalyticTruth) {
   WindowedSketchOptions opt;
   opt.window_epochs = 2;  // ring shorter than the decay horizon
@@ -742,7 +815,8 @@ TEST_P(WindowedSourceRefreshTest, InPlaceRefreshMatchesFreshMergeAfterEveryOp) {
     ASSERT_EQ(SerializeWindowed(live.MergedRing()),
               SerializeWindowed(fresh.MergedRing()))
         << "step " << step;
-    for (size_t last_k : {size_t{1}, size_t{3}, size_t{0}}) {
+    for (size_t last_k :
+         {size_t{1}, size_t{2}, size_t{3}, size_t{8}, size_t{0}}) {
       ASSERT_EQ(live.WindowView(last_k).Entries(),
                 fresh.WindowView(last_k).Entries())
           << "step " << step << " last_k " << last_k;
@@ -754,8 +828,9 @@ INSTANTIATE_TEST_SUITE_P(DecayOffAndOn, WindowedSourceRefreshTest,
                          ::testing::Values(0.0, 2.0));
 
 // Rows into the open epoch re-merge only that epoch while every shard
-// is at it: every closed span the previous query cached survives the
-// refresh, so a repeated last-k query misses no merge-tree node.
+// is at it: the closed-span sums the previous query memoized survive the
+// refresh, so a repeated last-k query answers from the memo (patched
+// with the open epoch) and misses no merge-tree node.
 TEST(WindowedSourceTest, OpenEpochIngestKeepsEveryClosedNodeCached) {
   ShardedSketchOptions shard;
   shard.num_shards = 3;
@@ -779,12 +854,12 @@ TEST(WindowedSourceTest, OpenEpochIngestKeepsEveryClosedNodeCached) {
   (void)source.WindowView(8);  // builds the closed spans' nodes
   ingest();
   const uint64_t misses = window_metrics::NodeCacheMisses().Value();
-  const uint64_t hits = window_metrics::NodeCacheHits().Value();
+  const uint64_t memo_hits = window_metrics::CombineMemoHits().Value();
   const uint64_t remerged = window_metrics::EpochsRemerged().Value();
   const int64_t total = source.WindowView(8).TotalCount();
   EXPECT_EQ(window_metrics::EpochsRemerged().Value() - remerged, 1u);
   EXPECT_EQ(window_metrics::NodeCacheMisses().Value(), misses);
-  EXPECT_GT(window_metrics::NodeCacheHits().Value(), hits);
+  EXPECT_EQ(window_metrics::CombineMemoHits().Value() - memo_hits, 1u);
   EXPECT_EQ(total, 9 * 300);  // the open epoch holds two batches
 }
 

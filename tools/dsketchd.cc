@@ -458,18 +458,26 @@ int RunSmoke(SketchServerOptions options) {
   // METRICS hop: the exposition must show the smoke's own traffic.
   // First stir the window merge cache deliberately: last_k=2 decomposes
   // to a level-0 node the earlier full-window query already cached (a
-  // node-cache hit), and re-asking last_k=1 lands on the combine memo
-  // entry that query populated (a memo hit).
+  // node-cache hit), and after an open-epoch ingest the repeat of
+  // last_k=2 patches the closed-span sums that query memoized (a memo
+  // hit).
   auto win_last2 = client_a.QuerySum(PredicateSpec(), QueryScope::kWindow,
                                      /*last_k=*/2);
   if (!win_last2.has_value() ||
       win_last2->estimate != static_cast<double>(2 * kRowsPerEpoch)) {
     return fail("windowed QUERY_SUM last_k=2");
   }
-  auto win_last1b = client_a.QuerySum(PredicateSpec(), QueryScope::kWindow,
-                                      /*last_k=*/1);
-  if (!win_last1b.has_value() || win_last1b->estimate != win_last->estimate) {
-    return fail("windowed QUERY_SUM last_k=1 repeat");
+  const std::vector<uint64_t> open_rows = {(kEpochs - 1) * 10000 + 1,
+                                           (kEpochs - 1) * 10000 + 2};
+  if (!client_a.IngestWindowed(open_rows, kEpochs - 1)) {
+    return fail("windowed INGEST_BATCH into the open epoch");
+  }
+  auto win_last2b = client_a.QuerySum(PredicateSpec(), QueryScope::kWindow,
+                                      /*last_k=*/2);
+  if (!win_last2b.has_value() ||
+      win_last2b->estimate !=
+          static_cast<double>(2 * kRowsPerEpoch + open_rows.size())) {
+    return fail("windowed QUERY_SUM last_k=2 after open-epoch ingest");
   }
   // The exposition's content (like the trace checks above) only exists
   // when the build records metrics; the opcode itself must answer kOk
