@@ -77,8 +77,6 @@ void Run(int argc, char** argv) {
     json.Add("items", items);
     json.Add("shards", shards);
     json.Add("bins", capacity);
-    json.Add("hardware_concurrency",
-             static_cast<int64_t>(std::thread::hardware_concurrency()));
     json.Add("metrics", std::string(obs::MetricsBuildMode()));
   }
 

@@ -10,7 +10,7 @@
 //                      the caller hands over;
 //   * shard_scaling  — ShardedSketch ingest throughput vs shard count
 //                      (bounded by hardware_concurrency, recorded in the
-//                      output for interpretation);
+//                      output's machine record for interpretation);
 //   * micro          — per-sketch single-row update costs, merge cost,
 //                      and query cost;
 //   * shard_merge_us — one MergeShards of two hash-partitioned 4096-bin
@@ -30,9 +30,9 @@
 // pipelined) that asserts batch ingestion is bit-identical to per-row
 // updates and that throughput is sane (> 0), exiting nonzero otherwise.
 //
-// Every JSON output starts with a "params" record (hardware threads,
-// allocator mode, probe ISA, compiler) so recorded baselines say what
-// machine state produced them.
+// Every JSON output starts with the "machine" record bench_util.h writes
+// (hardware threads, compiler) and a "params" record (allocator mode,
+// probe ISA) so recorded baselines say what machine state produced them.
 
 #include <algorithm>
 #include <chrono>
@@ -177,7 +177,6 @@ void ShardScalingSweep(const Workload& w, size_t shard_capacity, int reps,
       sink.Add("shard_capacity", static_cast<int64_t>(shard_capacity));
       sink.Add("mrows", mrows);
       sink.Add("scaling_vs_1shard", mrows / base);
-      sink.Add("hardware_concurrency", static_cast<int64_t>(hw));
     }
   }
 }
@@ -387,12 +386,10 @@ int main(int argc, char** argv) {
     sink.BeginRecord("params");
     sink.Add("rows", rows);
     sink.Add("reps", static_cast<int64_t>(reps));
-    sink.Add("hardware_concurrency", static_cast<int64_t>(hw));
     sink.Add("alloc_mode", AllocModeName(GlobalAllocMode()));
     sink.Add("mmap_supported",
              static_cast<int64_t>(MmapAllocSupported() ? 1 : 0));
     sink.Add("probe_isa", FlatMapProbeIsa());
-    sink.Add("compiler", __VERSION__);
   }
 
   std::printf("generating streams (%lld rows each)...\n",

@@ -1,7 +1,8 @@
 // Shared helpers for the figure benches: tiny --key=value flag parsing so
 // every bench runs with fast defaults yet scales to paper-sized runs,
 // common printing, and a --json=<path> sink that records results as
-// machine-readable baselines (see bench/record_baselines.sh).
+// machine-readable baselines (see bench/record_baselines.sh), each file
+// opening with a record of the machine that produced it.
 
 #ifndef DSKETCH_BENCH_BENCH_UTIL_H_
 #define DSKETCH_BENCH_BENCH_UTIL_H_
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,11 +66,19 @@ inline std::string FlagString(int argc, char** argv, const char* name,
 /// Collects bench records and, when --json=<path> was passed, writes them
 /// as {"bench": ..., "records": [{...}, ...]} on Flush/destruction.
 /// Values are numbers or strings; records are flat key/value objects with
-/// a "section" discriminator so one file can hold several sweeps.
+/// a "section" discriminator so one file can hold several sweeps. The
+/// first record is always section "machine": the hardware thread count
+/// and the compiler version, so a baseline says where it was measured.
 class JsonSink {
  public:
   JsonSink(int argc, char** argv, const char* bench_name)
-      : bench_name_(bench_name), path_(FlagString(argc, argv, "json", "")) {}
+      : bench_name_(bench_name), path_(FlagString(argc, argv, "json", "")) {
+    if (!enabled()) return;
+    BeginRecord("machine");
+    Add("hardware_concurrency",
+        static_cast<int64_t>(std::thread::hardware_concurrency()));
+    Add("compiler", __VERSION__);
+  }
 
   ~JsonSink() { Flush(); }
 

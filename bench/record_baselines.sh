@@ -15,10 +15,11 @@
 #   BENCH_window.json      — epoch-ring ingest/advance/query cost across
 #                            ring sizes, decay on/off, cached vs uncached
 #                            window queries
-# Later PRs compare their sweeps against these files to prove speedups /
-# catch regressions; every file records hardware_concurrency (BENCH_window
-# carries it in its "params" record, like BENCH_service) so scaling
-# numbers are interpreted against the machine that produced them.
+# Later changes compare their sweeps against these files to prove
+# speedups / catch regressions; every file opens with a "machine" record
+# (hardware_concurrency, compiler version; written by bench_util.h's
+# JsonSink) so numbers are interpreted against the machine that produced
+# them.
 
 set -eu
 

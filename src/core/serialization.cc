@@ -1,7 +1,7 @@
-// Per-kind wire codecs over the layered primitives in src/wire: each
-// sketch family contributes a thin codec (v2 encode, v1 + v2 payload
-// decoders) keyed by the kind bytes the wire codec registry reserves for
-// the built-in kinds (wire/codec.cc); the envelope, version dispatch,
+// Per-kind wire codecs over the layered primitives in src/wire: the
+// Unbiased and Weighted sketches each contribute a thin codec (v2
+// encode, v1 + v2 payload decoders) keyed by their kind byte in the wire
+// layer's kind table (wire/codec.cc); the envelope, version dispatch,
 // and varint/delta mechanics live in the wire layer and the shared
 // drivers below. See serialization.h for the format documentation and
 // caps table.
@@ -9,7 +9,6 @@
 #include "core/serialization.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -41,29 +40,20 @@ using wire::VarintWriter;
 // force a huge allocation before the payload is validated. Space-saving
 // sketches are small by design (thousands of bins; at 2^22 the
 // worst-case restore footprint — slot array plus FlatMap index tables —
-// stays in the low hundreds of MB). CountMin tables are flat i64 cells
-// with no index, so they get a larger cap (2^25 cells = 256 MiB).
+// stays in the low hundreds of MB).
 constexpr uint64_t kMaxCapacity = kMaxSerializableCapacity;
-constexpr uint64_t kMaxCountMinCells = kMaxSerializableCountMinCells;
 
+// The kind bytes of the codecs below (wire/codec.cc lists every kind).
 enum class SketchKind : uint8_t {
   kUnbiased = 1,
-  kDeterministic = 2,
   kWeighted = 3,
-  kMultiMetric = 4,
-  kMisraGries = 5,
-  kCountMin = 6,
 };
-
-uint64_t MaxCapacityFor(SketchKind kind) {
-  return kind == SketchKind::kCountMin ? kMaxCountMinCells : kMaxCapacity;
-}
 
 // Fail loudly at write time rather than returning bytes that every
 // deserializer would reject: a sketch that can be serialized can always
 // be restored. Shared by both versions' encoders.
-void CheckEncodable(SketchKind kind, uint64_t capacity, uint64_t entries) {
-  DSKETCH_CHECK(capacity > 0 && capacity <= MaxCapacityFor(kind));
+void CheckEncodable(uint64_t capacity, uint64_t entries) {
+  DSKETCH_CHECK(capacity > 0 && capacity <= kMaxCapacity);
   DSKETCH_CHECK(entries <= capacity);
 }
 
@@ -108,17 +98,16 @@ std::optional<Sketch> DecodeBlob(std::string_view bytes, SketchKind kind,
 // ---------------------------------------------------------------------
 
 // v1 payload prefix: [u64 capacity][u32 entry_count].
-void PutHeaderV1(VarintWriter& writer, SketchKind kind, uint64_t capacity,
-                 uint32_t entries) {
-  CheckEncodable(kind, capacity, entries);
+void PutHeaderV1(VarintWriter& writer, uint64_t capacity, uint32_t entries) {
+  CheckEncodable(capacity, entries);
   writer.PutValue(capacity);
   writer.PutValue(entries);
 }
 
-bool ReadHeaderV1(VarintReader& reader, SketchKind kind, uint64_t* capacity,
+bool ReadHeaderV1(VarintReader& reader, uint64_t* capacity,
                   uint32_t* entries) {
   if (!reader.ReadValue(capacity) || *capacity == 0 ||
-      *capacity > MaxCapacityFor(kind)) {
+      *capacity > kMaxCapacity) {
     return false;
   }
   if (!reader.ReadValue(entries) || *entries > *capacity) return false;
@@ -129,10 +118,9 @@ bool ReadHeaderV1(VarintReader& reader, SketchKind kind, uint64_t* capacity,
 // Version-2 payload helpers (varint/delta layout).
 // ---------------------------------------------------------------------
 
-// v2 payload prefix for the bin sketches: [varint capacity][varint n].
-void PutHeaderV2(VarintWriter& writer, SketchKind kind, uint64_t capacity,
-                 uint64_t entries) {
-  CheckEncodable(kind, capacity, entries);
+// v2 payload prefix: [varint capacity][varint n].
+void PutHeaderV2(VarintWriter& writer, uint64_t capacity, uint64_t entries) {
+  CheckEncodable(capacity, entries);
   writer.PutVarint(capacity);
   writer.PutVarint(entries);
 }
@@ -140,10 +128,10 @@ void PutHeaderV2(VarintWriter& writer, SketchKind kind, uint64_t capacity,
 // `min_entry_bytes` is the smallest possible wire footprint of one entry;
 // bounding the claimed count by the bytes actually present keeps hostile
 // headers from forcing large reserve() calls before the payload scan.
-bool ReadHeaderV2(VarintReader& reader, SketchKind kind, uint64_t* capacity,
+bool ReadHeaderV2(VarintReader& reader, uint64_t* capacity,
                   uint64_t* entries, size_t min_entry_bytes) {
   if (!reader.ReadVarint(capacity) || *capacity == 0 ||
-      *capacity > MaxCapacityFor(kind)) {
+      *capacity > kMaxCapacity) {
     return false;
   }
   if (!reader.ReadVarint(entries) || *entries > *capacity) return false;
@@ -201,46 +189,15 @@ class CountDeltaReader {
 };
 
 // ---------------------------------------------------------------------
-// Integer entry-list codec (Unbiased / Deterministic Space Saving).
+// Unbiased Space Saving codec (integer entry list).
 // ---------------------------------------------------------------------
 
-template <typename Sketch>
-std::string EncodeIntegerV1(SketchKind kind, const Sketch& sketch) {
-  auto entries = sketch.Entries();
-  return EncodeBlob(kind, wire::kVersionLegacy, 12 + entries.size() * 16,
-                    [&](VarintWriter& writer) {
-                      PutHeaderV1(writer, kind, sketch.capacity(),
-                                  static_cast<uint32_t>(entries.size()));
-                      for (const SketchEntry& e : entries) {
-                        writer.PutValue(e.item);
-                        writer.PutValue(e.count);
-                      }
-                    });
-}
-
-template <typename Sketch>
-std::string EncodeIntegerV2(SketchKind kind, const Sketch& sketch) {
-  auto entries = sketch.Entries();  // descending count order
-  return EncodeBlob(kind, wire::kVersionCurrent, 4 + entries.size() * 12,
-                    [&](VarintWriter& writer) {
-                      PutHeaderV2(writer, kind, sketch.capacity(),
-                                  entries.size());
-                      CountDeltaWriter counts(writer);
-                      for (const SketchEntry& e : entries) {
-                        writer.PutVarint(e.item);
-                        counts.Put(e.count);
-                      }
-                    });
-}
-
-// Shared v1/v2 tail: duplicate-label rejection, total-count overflow
-// rejection (no real sketch's entries sum past int64 — TotalCount counts
-// processed rows — so a blob that would wrap the restored total can only
-// be tampering), and sketch construction.
-template <typename Sketch>
-std::optional<Sketch> LoadIntegerEntries(uint64_t capacity,
-                                         std::vector<SketchEntry> entries,
-                                         uint64_t seed) {
+// Shared v1/v2/frozen tail: duplicate-label rejection, total-count
+// overflow rejection (no real sketch's entries sum past int64 —
+// TotalCount counts processed rows — so a blob that would wrap the
+// restored total can only be tampering), and sketch construction.
+std::optional<UnbiasedSpaceSaving> LoadUnbiasedEntries(
+    uint64_t capacity, std::vector<SketchEntry> entries, uint64_t seed) {
   std::unordered_set<uint64_t> seen;
   int64_t total = 0;
   for (const SketchEntry& e : entries) {
@@ -248,17 +205,16 @@ std::optional<Sketch> LoadIntegerEntries(uint64_t capacity,
     if (e.count > INT64_MAX - total) return std::nullopt;  // total overflow
     total += e.count;
   }
-  Sketch sketch(static_cast<size_t>(capacity), seed);
+  UnbiasedSpaceSaving sketch(static_cast<size_t>(capacity), seed);
   sketch.core().LoadEntries(std::move(entries));
   return sketch;
 }
 
-template <typename Sketch>
-std::optional<Sketch> DecodeIntegerV1(VarintReader& reader, SketchKind kind,
-                                      uint64_t seed) {
+std::optional<UnbiasedSpaceSaving> DecodeUnbiasedV1(VarintReader& reader,
+                                                    uint64_t seed) {
   uint64_t capacity;
   uint32_t count;
-  if (!ReadHeaderV1(reader, kind, &capacity, &count)) return std::nullopt;
+  if (!ReadHeaderV1(reader, &capacity, &count)) return std::nullopt;
   std::vector<SketchEntry> entries;
   entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -269,14 +225,13 @@ std::optional<Sketch> DecodeIntegerV1(VarintReader& reader, SketchKind kind,
     if (e.count < 0) return std::nullopt;
     entries.push_back(e);
   }
-  return LoadIntegerEntries<Sketch>(capacity, std::move(entries), seed);
+  return LoadUnbiasedEntries(capacity, std::move(entries), seed);
 }
 
-template <typename Sketch>
-std::optional<Sketch> DecodeIntegerV2(VarintReader& reader, SketchKind kind,
-                                      uint64_t seed) {
+std::optional<UnbiasedSpaceSaving> DecodeUnbiasedV2(VarintReader& reader,
+                                                    uint64_t seed) {
   uint64_t capacity, count;
-  if (!ReadHeaderV2(reader, kind, &capacity, &count, /*min_entry_bytes=*/2)) {
+  if (!ReadHeaderV2(reader, &capacity, &count, /*min_entry_bytes=*/2)) {
     return std::nullopt;
   }
   std::vector<SketchEntry> entries;
@@ -289,16 +244,7 @@ std::optional<Sketch> DecodeIntegerV2(VarintReader& reader, SketchKind kind,
     }
     entries.push_back(e);
   }
-  return LoadIntegerEntries<Sketch>(capacity, std::move(entries), seed);
-}
-
-template <typename Sketch>
-std::optional<Sketch> DecodeInteger(SketchKind kind, std::string_view bytes,
-                                    uint64_t seed) {
-  return DecodeBlob<Sketch>(
-      bytes, kind,
-      [&](VarintReader& r) { return DecodeIntegerV1<Sketch>(r, kind, seed); },
-      [&](VarintReader& r) { return DecodeIntegerV2<Sketch>(r, kind, seed); });
+  return LoadUnbiasedEntries(capacity, std::move(entries), seed);
 }
 
 // ---------------------------------------------------------------------
@@ -322,9 +268,7 @@ std::optional<WeightedSpaceSaving> DecodeWeightedV1(VarintReader& reader,
                                                     uint64_t seed) {
   uint64_t capacity;
   uint32_t count;
-  if (!ReadHeaderV1(reader, SketchKind::kWeighted, &capacity, &count)) {
-    return std::nullopt;
-  }
+  if (!ReadHeaderV1(reader, &capacity, &count)) return std::nullopt;
   std::vector<WeightedEntry> entries;
   entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -340,8 +284,7 @@ std::optional<WeightedSpaceSaving> DecodeWeightedV1(VarintReader& reader,
 std::optional<WeightedSpaceSaving> DecodeWeightedV2(VarintReader& reader,
                                                     uint64_t seed) {
   uint64_t capacity, count;
-  if (!ReadHeaderV2(reader, SketchKind::kWeighted, &capacity, &count,
-                    /*min_entry_bytes=*/9)) {
+  if (!ReadHeaderV2(reader, &capacity, &count, /*min_entry_bytes=*/9)) {
     return std::nullopt;
   }
   std::vector<WeightedEntry> entries;
@@ -356,261 +299,6 @@ std::optional<WeightedSpaceSaving> DecodeWeightedV2(VarintReader& reader,
   return LoadWeightedEntries(capacity, entries, seed);
 }
 
-// ---------------------------------------------------------------------
-// Multi-metric codec.
-// ---------------------------------------------------------------------
-
-// Mirror of the decoders' footprint bound so the bytes are always
-// restorable: ~(2 + K) doubles per bin plus per-bin vector overhead,
-// capped well below the header-level capacity limit so a hostile header
-// cannot force a huge allocation. With capacity >= 1 this also caps
-// num_metrics.
-bool MultiMetricFootprintOk(uint64_t capacity, uint64_t num_metrics) {
-  return num_metrics > 0 && capacity * (2 + num_metrics) <= kMaxCapacity;
-}
-
-void CheckMultiMetricEncodable(const MultiMetricSpaceSaving& sketch) {
-  DSKETCH_CHECK(MultiMetricFootprintOk(
-      sketch.capacity(), static_cast<uint64_t>(sketch.num_metrics())));
-}
-
-std::optional<MultiMetricSpaceSaving> LoadMultiMetricBins(
-    uint64_t capacity, uint64_t num_metrics,
-    std::vector<MultiMetricEntry> bins, uint64_t seed) {
-  std::unordered_set<uint64_t> seen;
-  for (const MultiMetricEntry& b : bins) {
-    // Rejects negatives, NaN, and inf (Serialize never emits them).
-    if (!(b.primary >= 0.0) || !std::isfinite(b.primary)) return std::nullopt;
-    for (double v : b.metrics) {
-      if (!std::isfinite(v)) return std::nullopt;
-    }
-    if (!seen.insert(b.item).second) return std::nullopt;  // duplicate label
-  }
-  MultiMetricSpaceSaving sketch(static_cast<size_t>(capacity),
-                                static_cast<size_t>(num_metrics), seed);
-  sketch.LoadBins(std::move(bins));
-  return sketch;
-}
-
-std::optional<MultiMetricSpaceSaving> DecodeMultiMetricV1(VarintReader& reader,
-                                                          uint64_t seed) {
-  uint64_t capacity;
-  uint32_t count;
-  if (!ReadHeaderV1(reader, SketchKind::kMultiMetric, &capacity, &count)) {
-    return std::nullopt;
-  }
-  uint32_t num_metrics;
-  if (!reader.ReadValue(&num_metrics)) return std::nullopt;
-  if (!MultiMetricFootprintOk(capacity, num_metrics)) return std::nullopt;
-  std::vector<MultiMetricEntry> bins;
-  bins.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    MultiMetricEntry b;
-    if (!reader.ReadValue(&b.item) || !reader.ReadValue(&b.primary)) {
-      return std::nullopt;
-    }
-    b.metrics.resize(num_metrics);
-    for (uint32_t k = 0; k < num_metrics; ++k) {
-      if (!reader.ReadValue(&b.metrics[k])) return std::nullopt;
-    }
-    bins.push_back(std::move(b));
-  }
-  return LoadMultiMetricBins(capacity, num_metrics, std::move(bins), seed);
-}
-
-std::optional<MultiMetricSpaceSaving> DecodeMultiMetricV2(VarintReader& reader,
-                                                          uint64_t seed) {
-  uint64_t capacity, count;
-  if (!ReadHeaderV2(reader, SketchKind::kMultiMetric, &capacity, &count,
-                    /*min_entry_bytes=*/9)) {
-    return std::nullopt;
-  }
-  uint64_t num_metrics;
-  if (!reader.ReadVarint(&num_metrics)) return std::nullopt;
-  if (!MultiMetricFootprintOk(capacity, num_metrics)) return std::nullopt;
-  if (count > 0 &&
-      count > reader.remaining() / (1 + 8 * (1 + num_metrics))) {
-    return std::nullopt;  // claimed bins cannot fit the bytes present
-  }
-  std::vector<MultiMetricEntry> bins;
-  bins.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    MultiMetricEntry b;
-    if (!reader.ReadVarint(&b.item) || !reader.ReadDouble(&b.primary)) {
-      return std::nullopt;
-    }
-    b.metrics.resize(num_metrics);
-    for (uint64_t k = 0; k < num_metrics; ++k) {
-      if (!reader.ReadDouble(&b.metrics[k])) return std::nullopt;
-    }
-    bins.push_back(std::move(b));
-  }
-  return LoadMultiMetricBins(capacity, num_metrics, std::move(bins), seed);
-}
-
-// ---------------------------------------------------------------------
-// Misra-Gries codec.
-// ---------------------------------------------------------------------
-
-// Shared semantic validation: positive live counters, distinct labels,
-// and the estimate budget (sum of estimates <= total - decrements, each
-// decrement-all having consumed one row no counter accounts for). The
-// incremental form keeps the accumulator from overflowing int64 and also
-// rules out overflow of the stored counter inside LoadState
-// (count + decrements <= total).
-std::optional<MisraGries> LoadMisraGries(uint64_t capacity,
-                                         const std::vector<SketchEntry>& entries,
-                                         int64_t decrements, int64_t total) {
-  if (decrements < 0 || total < 0 || decrements > total) return std::nullopt;
-  const int64_t estimate_budget = total - decrements;
-  std::unordered_set<uint64_t> seen;
-  int64_t estimate_sum = 0;
-  for (const SketchEntry& e : entries) {
-    if (e.count <= 0) return std::nullopt;  // live counters only
-    if (!seen.insert(e.item).second) return std::nullopt;  // duplicate label
-    if (e.count > estimate_budget - estimate_sum) return std::nullopt;
-    estimate_sum += e.count;
-  }
-  MisraGries sketch(static_cast<size_t>(capacity));
-  sketch.LoadState(entries, decrements, total);
-  return sketch;
-}
-
-std::optional<MisraGries> DecodeMisraGriesV1(VarintReader& reader) {
-  uint64_t capacity;
-  uint32_t count;
-  if (!ReadHeaderV1(reader, SketchKind::kMisraGries, &capacity, &count)) {
-    return std::nullopt;
-  }
-  int64_t decrements, total;
-  if (!reader.ReadValue(&decrements) || !reader.ReadValue(&total)) {
-    return std::nullopt;
-  }
-  std::vector<SketchEntry> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SketchEntry e;
-    if (!reader.ReadValue(&e.item) || !reader.ReadValue(&e.count)) {
-      return std::nullopt;
-    }
-    entries.push_back(e);
-  }
-  return LoadMisraGries(capacity, entries, decrements, total);
-}
-
-std::optional<MisraGries> DecodeMisraGriesV2(VarintReader& reader) {
-  uint64_t capacity, count;
-  if (!ReadHeaderV2(reader, SketchKind::kMisraGries, &capacity, &count,
-                    /*min_entry_bytes=*/2)) {
-    return std::nullopt;
-  }
-  int64_t decrements, total;
-  if (!reader.ReadVarintInt64(&decrements) ||
-      !reader.ReadVarintInt64(&total)) {
-    return std::nullopt;
-  }
-  std::vector<SketchEntry> entries;
-  entries.reserve(count);
-  CountDeltaReader counts(reader);
-  for (uint64_t i = 0; i < count; ++i) {
-    SketchEntry e;
-    if (!reader.ReadVarint(&e.item) || !counts.Read(&e.count)) {
-      return std::nullopt;
-    }
-    entries.push_back(e);
-  }
-  return LoadMisraGries(capacity, entries, decrements, total);
-}
-
-// ---------------------------------------------------------------------
-// CountMin codec. The v1 header's capacity/entry_count describe the
-// counter table (the sketch has no entry list); v2 drops the redundancy
-// and derives the cell count from the width/depth sub-header.
-// ---------------------------------------------------------------------
-
-// Shared table validation: every table CountMin can produce sums each
-// row to exactly `total` (a plain update adds its count to one cell per
-// row) or to at most `total` (conservative update raises each row by at
-// most the count). Enforcing that keeps EstimateCount <= TotalCount on
-// restored sketches, and the incremental bound keeps the row accumulator
-// from overflowing int64. `read_cell` pulls the next counter off the
-// wire in the version's encoding.
-template <typename ReadCellFn>
-std::optional<CountMin> LoadCountMin(uint64_t width, uint64_t depth,
-                                     uint64_t seed, uint8_t conservative,
-                                     int64_t total, ReadCellFn&& read_cell) {
-  if (conservative > 1 || total < 0) return std::nullopt;
-  const uint64_t cells = width * depth;
-  std::vector<int64_t> table(cells);
-  int64_t row_sum = 0;
-  for (uint64_t i = 0; i < cells; ++i) {
-    if (!read_cell(&table[i]) || table[i] < 0) return std::nullopt;
-    if (table[i] > total - row_sum) return std::nullopt;
-    row_sum += table[i];
-    if ((i + 1) % width == 0) {
-      if (conservative == 0 && row_sum != total) return std::nullopt;
-      row_sum = 0;
-    }
-  }
-  CountMin sketch(static_cast<size_t>(width), static_cast<size_t>(depth),
-                  seed, conservative != 0);
-  sketch.LoadState(std::move(table), total);
-  return sketch;
-}
-
-std::optional<CountMin> DecodeCountMinV1(VarintReader& reader) {
-  uint64_t cells;
-  uint32_t count;
-  if (!ReadHeaderV1(reader, SketchKind::kCountMin, &cells, &count)) {
-    return std::nullopt;
-  }
-  uint64_t width, depth, seed;
-  uint8_t conservative;
-  int64_t total;
-  if (!reader.ReadValue(&width) || width == 0 || width > cells) {
-    return std::nullopt;
-  }
-  if (!reader.ReadValue(&depth) || depth == 0 || depth > cells) {
-    return std::nullopt;
-  }
-  // width and depth are each <= cells <= kMaxCountMinCells (2^25), so
-  // the product below cannot wrap uint64.
-  if (width * depth != cells || cells != count) return std::nullopt;
-  if (!reader.ReadValue(&seed)) return std::nullopt;
-  if (!reader.ReadByte(&conservative)) return std::nullopt;
-  if (!reader.ReadValue(&total)) return std::nullopt;
-  return LoadCountMin(width, depth, seed, conservative, total,
-                      [&](int64_t* cell) { return reader.ReadValue(cell); });
-}
-
-std::optional<CountMin> DecodeCountMinV2(VarintReader& reader) {
-  uint64_t width, depth, seed_bits;
-  uint8_t conservative;
-  int64_t total;
-  // width, depth <= kMaxCountMinCells keeps the product from wrapping
-  // (2^25 * 2^25 = 2^50 < 2^64).
-  if (!reader.ReadVarint(&width) || width == 0 ||
-      width > kMaxCountMinCells) {
-    return std::nullopt;
-  }
-  if (!reader.ReadVarint(&depth) || depth == 0 ||
-      depth > kMaxCountMinCells / width) {
-    return std::nullopt;
-  }
-  const uint64_t cells = width * depth;
-  // Each counter is at least one byte on the wire, so a geometry whose
-  // table cannot fit the bytes present is hostile; rejecting it here
-  // bounds the allocation below.
-  if (!reader.ReadValue(&seed_bits)) return std::nullopt;
-  if (!reader.ReadByte(&conservative)) return std::nullopt;
-  if (!reader.ReadVarintInt64(&total)) return std::nullopt;
-  if (cells > reader.remaining()) return std::nullopt;
-  return LoadCountMin(width, depth, seed_bits, conservative, total,
-                      [&](int64_t* cell) {
-                        return reader.ReadVarintInt64(cell);
-                      });
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -618,7 +306,16 @@ std::optional<CountMin> DecodeCountMinV2(VarintReader& reader) {
 // ---------------------------------------------------------------------
 
 std::string Serialize(const UnbiasedSpaceSaving& sketch) {
-  return EncodeIntegerV2(SketchKind::kUnbiased, sketch);
+  auto entries = sketch.Entries();  // descending count order
+  return EncodeBlob(SketchKind::kUnbiased, wire::kVersionCurrent,
+                    4 + entries.size() * 12, [&](VarintWriter& writer) {
+                      PutHeaderV2(writer, sketch.capacity(), entries.size());
+                      CountDeltaWriter counts(writer);
+                      for (const SketchEntry& e : entries) {
+                        writer.PutVarint(e.item);
+                        counts.Put(e.count);
+                      }
+                    });
 }
 
 std::string SerializeFrozen(const UnbiasedSpaceSaving& sketch) {
@@ -654,7 +351,7 @@ std::optional<UnbiasedSpaceSaving> ThawFrozen(std::string_view bytes,
   // Deep content validation — the O(n) work Vet deliberately skips:
   // counts positive in canonical order (count descending, ties ascending
   // item), header metadata consistent with the entries. Duplicate labels
-  // and total-count overflow are rejected by LoadIntegerEntries below.
+  // and total-count overflow are rejected by LoadUnbiasedEntries below.
   const size_t n = static_cast<size_t>(view->entry_count());
   std::vector<SketchEntry> entries;
   entries.reserve(n);
@@ -686,20 +383,14 @@ std::optional<UnbiasedSpaceSaving> ThawFrozen(std::string_view bytes,
   }
   wire::RecordWireDecoded(wire::kKindFrozenUnbiased, wire::kVersionCurrent,
                           bytes.size());
-  return LoadIntegerEntries<UnbiasedSpaceSaving>(view->capacity(),
-                                                 std::move(entries), seed);
-}
-
-std::string Serialize(const DeterministicSpaceSaving& sketch) {
-  return EncodeIntegerV2(SketchKind::kDeterministic, sketch);
+  return LoadUnbiasedEntries(view->capacity(), std::move(entries), seed);
 }
 
 std::string Serialize(const WeightedSpaceSaving& sketch) {
   auto entries = sketch.Entries();
   return EncodeBlob(SketchKind::kWeighted, wire::kVersionCurrent,
                     4 + entries.size() * 13, [&](VarintWriter& writer) {
-                      PutHeaderV2(writer, SketchKind::kWeighted,
-                                  sketch.capacity(), entries.size());
+                      PutHeaderV2(writer, sketch.capacity(), entries.size());
                       for (const WeightedEntry& e : entries) {
                         writer.PutVarint(e.item);
                         writer.PutDouble(e.weight);
@@ -707,138 +398,20 @@ std::string Serialize(const WeightedSpaceSaving& sketch) {
                     });
 }
 
-std::string Serialize(const MultiMetricSpaceSaving& sketch) {
-  CheckMultiMetricEncodable(sketch);
-  const auto& bins = sketch.bins();
-  const size_t per_bin = 5 + 8 * (1 + sketch.num_metrics());
-  return EncodeBlob(
-      SketchKind::kMultiMetric, wire::kVersionCurrent,
-      8 + bins.size() * per_bin, [&](VarintWriter& writer) {
-        PutHeaderV2(writer, SketchKind::kMultiMetric, sketch.capacity(),
-                    bins.size());
-        writer.PutVarint(static_cast<uint64_t>(sketch.num_metrics()));
-        for (const MultiMetricEntry& b : bins) {
-          // Fail loudly on non-finite state (HT scaling can overflow
-          // finite inputs to inf) rather than emit bytes the
-          // deserializer rejects.
-          DSKETCH_CHECK(std::isfinite(b.primary));
-          for (double v : b.metrics) DSKETCH_CHECK(std::isfinite(v));
-          writer.PutVarint(b.item);
-          writer.PutDouble(b.primary);
-          for (double v : b.metrics) writer.PutDouble(v);
-        }
-      });
-}
-
-std::string Serialize(const MisraGries& sketch) {
-  auto entries = sketch.Entries();  // descending estimate order
-  return EncodeBlob(SketchKind::kMisraGries, wire::kVersionCurrent,
-                    24 + entries.size() * 12, [&](VarintWriter& writer) {
-                      PutHeaderV2(writer, SketchKind::kMisraGries,
-                                  sketch.capacity(), entries.size());
-                      writer.PutVarint(
-                          static_cast<uint64_t>(sketch.decrements()));
-                      writer.PutVarint(
-                          static_cast<uint64_t>(sketch.TotalCount()));
-                      CountDeltaWriter counts(writer);
-                      for (const SketchEntry& e : entries) {
-                        writer.PutVarint(e.item);
-                        counts.Put(e.count);
-                      }
-                    });
-}
-
-std::string Serialize(const CountMin& sketch) {
-  const std::vector<int64_t>& table = sketch.table();
-  CheckEncodable(SketchKind::kCountMin, table.size(), table.size());
-  return EncodeBlob(SketchKind::kCountMin, wire::kVersionCurrent,
-                    24 + table.size() * 3, [&](VarintWriter& writer) {
-                      writer.PutVarint(static_cast<uint64_t>(sketch.width()));
-                      writer.PutVarint(static_cast<uint64_t>(sketch.depth()));
-                      writer.PutValue(sketch.seed());
-                      writer.PutByte(sketch.conservative() ? 1 : 0);
-                      writer.PutVarint(
-                          static_cast<uint64_t>(sketch.TotalCount()));
-                      for (int64_t cell : table) {
-                        writer.PutVarint(static_cast<uint64_t>(cell));
-                      }
-                    });
-}
-
 // ---------------------------------------------------------------------
-// Legacy version-1 encoders.
+// Legacy version-1 encoder.
 // ---------------------------------------------------------------------
 
 std::string SerializeV1(const UnbiasedSpaceSaving& sketch) {
-  return EncodeIntegerV1(SketchKind::kUnbiased, sketch);
-}
-
-std::string SerializeV1(const DeterministicSpaceSaving& sketch) {
-  return EncodeIntegerV1(SketchKind::kDeterministic, sketch);
-}
-
-std::string SerializeV1(const WeightedSpaceSaving& sketch) {
   auto entries = sketch.Entries();
-  return EncodeBlob(SketchKind::kWeighted, wire::kVersionLegacy,
+  return EncodeBlob(SketchKind::kUnbiased, wire::kVersionLegacy,
                     12 + entries.size() * 16, [&](VarintWriter& writer) {
-                      PutHeaderV1(writer, SketchKind::kWeighted,
-                                  sketch.capacity(),
+                      PutHeaderV1(writer, sketch.capacity(),
                                   static_cast<uint32_t>(entries.size()));
-                      for (const WeightedEntry& e : entries) {
-                        writer.PutValue(e.item);
-                        writer.PutValue(e.weight);
-                      }
-                    });
-}
-
-std::string SerializeV1(const MultiMetricSpaceSaving& sketch) {
-  CheckMultiMetricEncodable(sketch);
-  const auto& bins = sketch.bins();
-  const size_t per_bin = 16 + 8 * sketch.num_metrics();
-  return EncodeBlob(
-      SketchKind::kMultiMetric, wire::kVersionLegacy,
-      16 + bins.size() * per_bin, [&](VarintWriter& writer) {
-        PutHeaderV1(writer, SketchKind::kMultiMetric, sketch.capacity(),
-                    static_cast<uint32_t>(bins.size()));
-        writer.PutValue(static_cast<uint32_t>(sketch.num_metrics()));
-        for (const MultiMetricEntry& b : bins) {
-          DSKETCH_CHECK(std::isfinite(b.primary));
-          for (double v : b.metrics) DSKETCH_CHECK(std::isfinite(v));
-          writer.PutValue(b.item);
-          writer.PutValue(b.primary);
-          for (double v : b.metrics) writer.PutValue(v);
-        }
-      });
-}
-
-std::string SerializeV1(const MisraGries& sketch) {
-  auto entries = sketch.Entries();
-  return EncodeBlob(SketchKind::kMisraGries, wire::kVersionLegacy,
-                    28 + entries.size() * 16, [&](VarintWriter& writer) {
-                      PutHeaderV1(writer, SketchKind::kMisraGries,
-                                  sketch.capacity(),
-                                  static_cast<uint32_t>(entries.size()));
-                      writer.PutValue(sketch.decrements());
-                      writer.PutValue(sketch.TotalCount());
                       for (const SketchEntry& e : entries) {
                         writer.PutValue(e.item);
                         writer.PutValue(e.count);
                       }
-                    });
-}
-
-std::string SerializeV1(const CountMin& sketch) {
-  const std::vector<int64_t>& table = sketch.table();
-  return EncodeBlob(SketchKind::kCountMin, wire::kVersionLegacy,
-                    45 + table.size() * 8, [&](VarintWriter& writer) {
-                      PutHeaderV1(writer, SketchKind::kCountMin, table.size(),
-                                  static_cast<uint32_t>(table.size()));
-                      writer.PutValue(static_cast<uint64_t>(sketch.width()));
-                      writer.PutValue(static_cast<uint64_t>(sketch.depth()));
-                      writer.PutValue(sketch.seed());
-                      writer.PutByte(sketch.conservative() ? 1 : 0);
-                      writer.PutValue(sketch.TotalCount());
-                      for (int64_t cell : table) writer.PutValue(cell);
                     });
 }
 
@@ -858,14 +431,10 @@ std::optional<UnbiasedSpaceSaving> DeserializeUnbiased(std::string_view bytes,
       return ThawFrozen(bytes, seed);
     }
   }
-  return DecodeInteger<UnbiasedSpaceSaving>(SketchKind::kUnbiased, bytes,
-                                            seed);
-}
-
-std::optional<DeterministicSpaceSaving> DeserializeDeterministic(
-    std::string_view bytes, uint64_t seed) {
-  return DecodeInteger<DeterministicSpaceSaving>(SketchKind::kDeterministic,
-                                                 bytes, seed);
+  return DecodeBlob<UnbiasedSpaceSaving>(
+      bytes, SketchKind::kUnbiased,
+      [&](VarintReader& r) { return DecodeUnbiasedV1(r, seed); },
+      [&](VarintReader& r) { return DecodeUnbiasedV2(r, seed); });
 }
 
 std::optional<WeightedSpaceSaving> DeserializeWeighted(std::string_view bytes,
@@ -874,28 +443,6 @@ std::optional<WeightedSpaceSaving> DeserializeWeighted(std::string_view bytes,
       bytes, SketchKind::kWeighted,
       [&](VarintReader& r) { return DecodeWeightedV1(r, seed); },
       [&](VarintReader& r) { return DecodeWeightedV2(r, seed); });
-}
-
-std::optional<MultiMetricSpaceSaving> DeserializeMultiMetric(
-    std::string_view bytes, uint64_t seed) {
-  return DecodeBlob<MultiMetricSpaceSaving>(
-      bytes, SketchKind::kMultiMetric,
-      [&](VarintReader& r) { return DecodeMultiMetricV1(r, seed); },
-      [&](VarintReader& r) { return DecodeMultiMetricV2(r, seed); });
-}
-
-std::optional<MisraGries> DeserializeMisraGries(std::string_view bytes) {
-  return DecodeBlob<MisraGries>(
-      bytes, SketchKind::kMisraGries,
-      [&](VarintReader& r) { return DecodeMisraGriesV1(r); },
-      [&](VarintReader& r) { return DecodeMisraGriesV2(r); });
-}
-
-std::optional<CountMin> DeserializeCountMin(std::string_view bytes) {
-  return DecodeBlob<CountMin>(
-      bytes, SketchKind::kCountMin,
-      [&](VarintReader& r) { return DecodeCountMinV1(r); },
-      [&](VarintReader& r) { return DecodeCountMinV2(r); });
 }
 
 }  // namespace dsketch

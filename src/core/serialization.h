@@ -1,51 +1,49 @@
 // Binary serialization for the mergeable sketches (paper §5.5: "in a
 // map-reduce framework ... only a set of small sketches needs to be sent
 // over the network"), built on the layered wire subsystem in src/wire.
+// It covers the two sketches the service snapshots and restores:
+// Unbiased Space Saving (wire kind 1, plus the frozen image, kind 8) and
+// the weighted sketch (kind 3). The windowed ring (kind 7) wraps these
+// blobs; its codec is window/window_wire.h.
 //
 // Every blob starts with the shared 8-byte envelope (wire/codec.h):
 //
 //   [u32 magic = "DSK1"][u8 kind][u8 version][u16 reserved = 0]
 //
 // Version negotiation: encoders emit the current version (2); decoders
-// accept every version in the kind's registered range (1-2), so v1 blobs
-// from old writers keep decoding and a fleet can roll forward node by
-// node. SerializeV1 keeps the legacy encoder available for compatibility
-// tests, golden fixtures, and benchmarks.
+// accept both versions (1-2), so v1 blobs from old writers keep decoding
+// and a fleet can roll forward node by node. SerializeV1 keeps the
+// legacy Unbiased encoder for compatibility tests and the wire
+// benchmark's v1-vs-v2 size table; the checked-in v1 goldens
+// (tests/golden) pin the legacy bytes of both kinds.
 //
 // v1 payload (fixed-width little-endian, decode-only):
 //
 //   [u64 capacity][u32 entry_count]
-//   sub-header: kind-dependent (metric arity, decrement count, CountMin
-//               geometry)
-//   entries: 16 B/entry (u64 item + i64 count or f64 weight),
-//            multi-metric bins, or raw i64 CountMin counters
+//   entries: 16 B/entry (u64 item + i64 count or f64 weight)
 //
 // v2 payload (varint/delta; see src/wire/varint.h for the primitives):
 //
 //   [varint capacity][varint entry_count]
-//   sub-header: kind-dependent, varint-encoded (CountMin carries
-//               width/depth/seed/flags/total instead of capacity/count)
-//   entries: varint item per entry; integer counts are delta-encoded
+//   entries: varint item per entry; Unbiased counts are delta-encoded
 //            against the descending count order Entries() emits (first
 //            count as varint, then varint prev-minus-current), so the
-//            long near-minimum tail costs ~1 B/count; real-valued
-//            weights/metrics stay fixed 8-byte IEEE-754
+//            long near-minimum tail costs ~1 B/count; weights stay fixed
+//            8-byte IEEE-754
 //
 // Deserialization validates the envelope, sizes, and per-kind invariants
 // and returns nullopt on any malformed input (never aborts) — inputs may
 // come from the network.
 //
-// Capacity caps (identical on both wire versions, enforced symmetrically
-// on encode — Serialize CHECK-fails beyond them — and decode — rejected —
+// Capacity cap (identical on both wire versions, enforced symmetrically
+// on encode — Serialize CHECK-fails beyond it — and decode — rejected —
 // so everything serializable restores and hostile headers cannot force
 // huge allocations):
 //
-//   kind                         cap
-//   ---------------------------  ----------------------------------------
-//   Unbiased / Deterministic /   2^22 bins (kMaxSerializableCapacity)
-//   Weighted / MisraGries
-//   MultiMetric                  capacity * (2 + num_metrics) <= 2^22
-//   CountMin                     2^25 cells (kMaxSerializableCountMinCells)
+//   kind                   cap
+//   ---------------------  -----------------------------------------
+//   Unbiased / Weighted /  2^22 bins (kMaxSerializableCapacity)
+//   frozen Unbiased
 
 #ifndef DSKETCH_CORE_SERIALIZATION_H_
 #define DSKETCH_CORE_SERIALIZATION_H_
@@ -55,54 +53,28 @@
 #include <string>
 #include <string_view>
 
-#include "core/deterministic_space_saving.h"
-#include "core/multi_metric_space_saving.h"
 #include "core/unbiased_space_saving.h"
 #include "core/weighted_space_saving.h"
-#include "frequency/count_min.h"
-#include "frequency/misra_gries.h"
 #include "wire/codec.h"
 
 namespace dsketch {
 
-/// Largest capacity Serialize accepts for the space-saving kinds (for
-/// MultiMetric the bound is capacity * (2 + num_metrics)). Part of the
-/// wire format contract for both versions; Serialize CHECK-fails beyond
-/// it, so callers sizing sketches for snapshotting should stay within it.
+/// Largest capacity Serialize accepts. Part of the wire format contract
+/// for both versions; Serialize CHECK-fails beyond it, so callers sizing
+/// sketches for snapshotting should stay within it.
 inline constexpr uint64_t kMaxSerializableCapacity = uint64_t{1} << 22;
-
-/// Largest CountMin table (width * depth cells) Serialize accepts.
-inline constexpr uint64_t kMaxSerializableCountMinCells = uint64_t{1} << 25;
 
 /// Serializes a sketch's state (capacity + entries) with the current
 /// wire version.
 std::string Serialize(const UnbiasedSpaceSaving& sketch);
 
-/// Serializes a deterministic sketch.
-std::string Serialize(const DeterministicSpaceSaving& sketch);
-
 /// Serializes a weighted sketch.
 std::string Serialize(const WeightedSpaceSaving& sketch);
 
-/// Serializes a multi-metric sketch (bins carry primary + K metrics).
-std::string Serialize(const MultiMetricSpaceSaving& sketch);
-
-/// Serializes a Misra-Gries summary (entries + decrement count + total).
-std::string Serialize(const MisraGries& sketch);
-
-/// Serializes a CountMin sketch (geometry + seed + raw counter table).
-std::string Serialize(const CountMin& sketch);
-
-/// Legacy version-1 encoders, retained so compatibility tests, golden
-/// fixtures, and the wire benchmarks can still produce v1 bytes. New
-/// code should use Serialize (current version); every Deserialize*
-/// accepts both.
+/// Legacy version-1 encoder, retained so compatibility tests and the
+/// wire benchmark can still produce v1 bytes. New code should use
+/// Serialize (current version); every Deserialize* accepts both.
 std::string SerializeV1(const UnbiasedSpaceSaving& sketch);
-std::string SerializeV1(const DeterministicSpaceSaving& sketch);
-std::string SerializeV1(const WeightedSpaceSaving& sketch);
-std::string SerializeV1(const MultiMetricSpaceSaving& sketch);
-std::string SerializeV1(const MisraGries& sketch);
-std::string SerializeV1(const CountMin& sketch);
 
 /// Serializes an unbiased sketch as the frozen mmap-able image (wire
 /// kind 8, wire/frozen.h): the bytes ARE the query-ready flat layout, so
@@ -130,24 +102,9 @@ std::optional<UnbiasedSpaceSaving> ThawFrozen(std::string_view bytes,
 std::optional<UnbiasedSpaceSaving> DeserializeUnbiased(std::string_view bytes,
                                                        uint64_t seed = 1);
 
-/// Reconstructs a Deterministic Space Saving sketch.
-std::optional<DeterministicSpaceSaving> DeserializeDeterministic(
-    std::string_view bytes, uint64_t seed = 1);
-
 /// Reconstructs a weighted sketch.
 std::optional<WeightedSpaceSaving> DeserializeWeighted(std::string_view bytes,
                                                        uint64_t seed = 1);
-
-/// Reconstructs a multi-metric sketch.
-std::optional<MultiMetricSpaceSaving> DeserializeMultiMetric(
-    std::string_view bytes, uint64_t seed = 1);
-
-/// Reconstructs a Misra-Gries summary (fully deterministic; no seed).
-std::optional<MisraGries> DeserializeMisraGries(std::string_view bytes);
-
-/// Reconstructs a CountMin sketch. The hash functions are re-derived from
-/// the serialized seed, so estimates match the original bit-for-bit.
-std::optional<CountMin> DeserializeCountMin(std::string_view bytes);
 
 /// Compile-time serializer dispatch for generic layers (shard snapshot
 /// replication, query-engine state) that handle a sketch type `S` without
@@ -163,17 +120,6 @@ struct SketchWire<UnbiasedSpaceSaving> {
   static std::optional<UnbiasedSpaceSaving> Deserialize(std::string_view bytes,
                                                         uint64_t seed) {
     return DeserializeUnbiased(bytes, seed);
-  }
-};
-
-template <>
-struct SketchWire<DeterministicSpaceSaving> {
-  static std::string Serialize(const DeterministicSpaceSaving& s) {
-    return dsketch::Serialize(s);
-  }
-  static std::optional<DeterministicSpaceSaving> Deserialize(
-      std::string_view bytes, uint64_t seed) {
-    return DeserializeDeterministic(bytes, seed);
   }
 };
 

@@ -3,9 +3,9 @@
 // For a fixed sample size k over weights w, the optimal inclusion
 // probabilities are the thresholded pi_i = min(1, alpha * w_i) with alpha
 // chosen so that sum_i pi_i = k (heavy items are taken with certainty;
-// the rest proportional to size). These targets feed the Deville-Tillé
-// splitting sampler (pivotal.h) and serve as the theoretical reference
-// curve in the inclusion-probability experiments (paper Fig. 2).
+// the rest proportional to size). These targets serve as the theoretical
+// reference curve in the inclusion-probability experiments (paper
+// Fig. 2).
 
 #ifndef DSKETCH_SAMPLING_PPS_H_
 #define DSKETCH_SAMPLING_PPS_H_

@@ -3,42 +3,36 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "util/logging.h"
 
 namespace dsketch {
 namespace wire {
 namespace {
 
-constexpr size_t kMaxKinds = 64;
+struct CodecInfo {
+  uint8_t kind;
+  const char* name;
+  uint8_t min_version;
+  uint8_t max_version;
+};
 
-// Fixed-size table indexed by kind byte, seeded with the built-in kinds
-// on first access (a function-local static, so lookups like DescribeWire
-// see the built-ins in every link configuration — a self-registering
-// static in another archive member could be dropped by the linker).
-// RegisterCodec may still overwrite or extend entries during static
-// initialization; the table is read-only after main starts, so no
-// locking is needed.
-CodecInfo* RegistryTable() {
-  static CodecInfo table[kMaxKinds];
-  static const bool seeded = [] {
-    const CodecInfo builtins[] = {
-        {1, "unbiased_space_saving", kVersionLegacy, kVersionCurrent},
-        {2, "deterministic_space_saving", kVersionLegacy, kVersionCurrent},
-        {3, "weighted_space_saving", kVersionLegacy, kVersionCurrent},
-        {4, "multi_metric_space_saving", kVersionLegacy, kVersionCurrent},
-        {5, "misra_gries", kVersionLegacy, kVersionCurrent},
-        {6, "count_min", kVersionLegacy, kVersionCurrent},
-        // The windowed ring and frozen-image kinds are v2-only: both
-        // were born after the varint era, so there is no legacy payload
-        // to accept.
-        {7, "windowed_sketch", kVersionCurrent, kVersionCurrent},
-        {8, "frozen_unbiased", kVersionCurrent, kVersionCurrent},
-    };
-    for (const CodecInfo& info : builtins) table[info.kind] = info;
-    return true;
-  }();
-  (void)seeded;
-  return table;
+// Every kind this build decodes. Kinds 2, 4, 5 and 6 belonged to retired
+// codecs (deterministic Space Saving, multi-metric, Misra-Gries, CountMin)
+// and stay reserved: a new kind must not reuse their bytes, or a blob an
+// old writer produced would decode as the wrong sketch.
+constexpr CodecInfo kCodecs[] = {
+    {1, "unbiased_space_saving", kVersionLegacy, kVersionCurrent},
+    {3, "weighted_space_saving", kVersionLegacy, kVersionCurrent},
+    // The windowed ring and frozen-image kinds are v2-only: both were
+    // born after the varint era, so there is no legacy payload to accept.
+    {7, "windowed_sketch", kVersionCurrent, kVersionCurrent},
+    {8, "frozen_unbiased", kVersionCurrent, kVersionCurrent},
+};
+
+const CodecInfo* FindCodec(uint8_t kind) {
+  for (const CodecInfo& info : kCodecs) {
+    if (info.kind == kind) return &info;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -60,18 +54,6 @@ std::optional<Envelope> ReadEnvelope(VarintReader& reader) {
   if (!reader.ReadByte(&env.version)) return std::nullopt;
   if (!reader.ReadValue(&reserved)) return std::nullopt;
   return env;
-}
-
-void RegisterCodec(const CodecInfo& info) {
-  DSKETCH_CHECK(info.kind > 0 && info.kind < kMaxKinds);
-  DSKETCH_CHECK(info.min_version <= info.max_version);
-  RegistryTable()[info.kind] = info;
-}
-
-const CodecInfo* FindCodec(uint8_t kind) {
-  if (kind >= kMaxKinds) return nullptr;
-  const CodecInfo* info = &RegistryTable()[kind];
-  return info->kind == kind ? info : nullptr;
 }
 
 bool VersionSupported(uint8_t kind, uint8_t version) {

@@ -1,4 +1,4 @@
-// Versioned wire envelope and the kind-codec registry.
+// Versioned wire envelope and the kind table.
 //
 // Every serialized sketch starts with the same 8-byte envelope,
 // regardless of wire version:
@@ -13,13 +13,11 @@
 // rejects the rest, so old blobs keep decoding while new encoders emit
 // the current version only.
 //
-// The registry maps each kind byte to a CodecInfo (name + supported
-// version range). The built-in sketch kinds are seeded by the wire layer
-// itself (codec.cc), so classification works in every link
-// configuration; RegisterCodec lets additional families extend the
-// table at static-initialization time. DescribeWire uses the registry to
-// classify a blob without decoding it, and decoders use it to gate
-// version dispatch in one place.
+// The kind table (codec.cc) maps each kind byte this build decodes to a
+// name and a supported version range. It is a fixed list owned by the
+// wire layer, so classification works in every link configuration. DescribeWire uses it to classify a blob without
+// decoding it, and decoders use it to gate version dispatch in one
+// place.
 
 #ifndef DSKETCH_WIRE_CODEC_H_
 #define DSKETCH_WIRE_CODEC_H_
@@ -62,44 +60,29 @@ void WriteEnvelope(std::string& out, uint8_t kind, uint8_t version);
 /// it, and rejecting it now would refuse blobs old writers produced.)
 std::optional<Envelope> ReadEnvelope(VarintReader& reader);
 
-/// Registry metadata one sketch family contributes for its kind byte.
-struct CodecInfo {
-  uint8_t kind = 0;
-  const char* name = "";
-  uint8_t min_version = kVersionLegacy;
-  uint8_t max_version = kVersionCurrent;
-};
-
-/// Registers `info` for its kind byte (static-init time; re-registration
-/// overwrites, including the built-ins). Kind bytes must be in [1, 63];
-/// 1-8 are reserved for the built-in sketch kinds (see codec.cc; 7 is
-/// the windowed epoch-ring snapshot, encoded by src/window, and 8 the
-/// frozen mmap-able image, encoded by wire/frozen.h).
-void RegisterCodec(const CodecInfo& info);
-
-/// Looks up the registered codec for `kind`; nullptr when unknown.
-const CodecInfo* FindCodec(uint8_t kind);
-
-/// True when `version` is one the registered codec for `kind` decodes.
+/// True when `version` is one the codec for `kind` decodes. The known
+/// kinds are 1 (Unbiased Space Saving) and 3 (weighted), encoded by
+/// core/serialization.h; 7, the windowed epoch-ring snapshot, encoded by
+/// src/window; and 8, the frozen mmap-able image (wire/frozen.h).
 bool VersionSupported(uint8_t kind, uint8_t version);
 
 /// What DescribeWire reports about a blob without decoding its payload.
 struct WireInfo {
   uint8_t kind = 0;
   uint8_t version = 0;
-  const char* kind_name = "";   ///< registered codec name
+  const char* kind_name = "";   ///< kind table name
   size_t payload_bytes = 0;     ///< bytes after the envelope
 };
 
 /// Classifies a wire blob: parses the envelope and resolves the kind
-/// against the registry. Returns nullopt for foreign bytes, unknown
+/// against the kind table. Returns nullopt for foreign bytes, unknown
 /// kinds, or versions outside the kind's supported range.
 std::optional<WireInfo> DescribeWire(std::string_view bytes);
 
 /// Telemetry taps the serialization chokepoints call per blob: bump
 /// dsketch_wire_encoded_bytes_total / dsketch_wire_decoded_bytes_total
-/// labeled by the registered kind name and version (unknown kinds count
-/// under kind="unknown"). Blob-granular, so the registry lookup cost is
+/// labeled by the kind table name and version (unknown kinds count
+/// under kind="unknown"). Blob-granular, so the table lookup cost is
 /// irrelevant next to the codec work itself. Decode taps count accepted
 /// blobs only — rejected hostile bytes never reach them. Container
 /// blobs (the windowed ring) count their full size under their own

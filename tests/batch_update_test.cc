@@ -12,7 +12,6 @@
 
 #include "core/decayed_space_saving.h"
 #include "core/deterministic_space_saving.h"
-#include "core/multi_metric_space_saving.h"
 #include "core/unbiased_space_saving.h"
 #include "core/weighted_space_saving.h"
 #include "stream/distributions.h"
@@ -164,28 +163,6 @@ TEST(BatchUpdateTest, DecayedEpochBatchesMatchSequential) {
   for (size_t i = 0; i < ea.size(); ++i) {
     EXPECT_EQ(ea[i].item, eb[i].item) << "entry " << i;
     EXPECT_DOUBLE_EQ(ea[i].weight, eb[i].weight) << "entry " << i;
-  }
-}
-
-TEST(BatchUpdateTest, MultiMetricMatchesSequential) {
-  auto rows = TestStream(1200, 12.0, 8);
-  MultiMetricSpaceSaving row_by_row(50, 2, 23), batched(50, 2, 23);
-  const std::vector<double> metrics = {1.0, 0.25};
-  for (uint64_t item : rows) row_by_row.Update(item, 1.0, metrics);
-  FeedInBatches(rows, [&](Span<const uint64_t> b) {
-    batched.UpdateBatch(b, 1.0, metrics);
-  });
-
-  EXPECT_DOUBLE_EQ(row_by_row.TotalPrimary(), batched.TotalPrimary());
-  ASSERT_EQ(row_by_row.size(), batched.size());
-  const auto& ba = row_by_row.bins();
-  const auto& bb = batched.bins();
-  for (size_t i = 0; i < ba.size(); ++i) {
-    EXPECT_EQ(ba[i].item, bb[i].item) << "bin " << i;
-    EXPECT_DOUBLE_EQ(ba[i].primary, bb[i].primary) << "bin " << i;
-    for (size_t k = 0; k < 2; ++k) {
-      EXPECT_DOUBLE_EQ(ba[i].metrics[k], bb[i].metrics[k]) << "bin " << i;
-    }
   }
 }
 

@@ -2,15 +2,12 @@
 // instead of corrupting sketch state. These document the library's
 // programmer-error surface.
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive_size_space_saving.h"
 #include "core/decayed_space_saving.h"
-#include "core/multi_metric_space_saving.h"
 #include "core/unbiased_space_saving.h"
 #include "core/weighted_space_saving.h"
 #include "frequency/count_min.h"
@@ -47,15 +44,6 @@ TEST(DeathTest, NonPositiveWeightAborts) {
   EXPECT_DEATH(sampler.Add(1, 0.0), "CHECK failed");
 }
 
-TEST(DeathTest, MultiMetricContracts) {
-  MultiMetricSpaceSaving sketch(4, 2);
-  EXPECT_DEATH(sketch.Update(1, 0.0, {1.0, 1.0}), "CHECK failed");
-  EXPECT_DEATH(sketch.Update(1, 1.0, std::vector<double>{1.0}),
-               "CHECK failed");  // arity
-  // NaN metrics would make a serialized snapshot unrestorable.
-  EXPECT_DEATH(sketch.Update(1, 1.0, {1.0, std::nan("")}), "CHECK failed");
-}
-
 TEST(DeathTest, DecayedSketchContracts) {
   EXPECT_DEATH(DecayedSpaceSaving(4, 0.0), "CHECK failed");
   DecayedSpaceSaving sketch(4, 10.0);
@@ -64,13 +52,6 @@ TEST(DeathTest, DecayedSketchContracts) {
   EXPECT_DEATH(sketch.Update(1, 99.0), "CHECK failed");
   // Queries cannot predate the last update.
   EXPECT_DEATH(sketch.EstimateDecayedCount(1, 50.0), "CHECK failed");
-}
-
-TEST(DeathTest, AdaptiveSizeContracts) {
-  EXPECT_DEATH(AdaptiveSizeSpaceSaving(0, 10, 0.1), "CHECK failed");
-  EXPECT_DEATH(AdaptiveSizeSpaceSaving(8, 10, 0.1), "CHECK failed");
-  EXPECT_DEATH(AdaptiveSizeSpaceSaving(8, 16, 0.0), "CHECK failed");
-  EXPECT_DEATH(AdaptiveSizeSpaceSaving(8, 16, 1.0), "CHECK failed");
 }
 
 TEST(DeathTest, CountMinContracts) {

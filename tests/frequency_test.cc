@@ -1,7 +1,6 @@
 // Tests for frequency/: the exact Misra-Gries <-> Space Saving
 // isomorphism (Agarwal et al.), Lossy Counting's schedule guarantee,
-// Sticky Sampling, CountMin bounds, AMS F2 estimation, and the
-// frequent-items query API.
+// CountMin bounds, AMS F2 estimation, and the frequent-items query API.
 
 #include <cmath>
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "frequency/count_min.h"
 #include "frequency/lossy_counting.h"
 #include "frequency/misra_gries.h"
-#include "frequency/sticky_sampling.h"
 #include "stream/distributions.h"
 #include "stream/generators.h"
 #include "util/random.h"
@@ -133,35 +131,6 @@ TEST(LossyCountingTest, FrequentItemsSurvive) {
   EXPECT_TRUE(lc.Contains(0));
   EXPECT_TRUE(lc.Contains(1));
   EXPECT_TRUE(lc.Contains(2));
-}
-
-TEST(StickySamplingTest, TracksHeavyItemsExactlyAfterEntry) {
-  StickySampling ss(100, 123);
-  for (int i = 0; i < 20000; ++i) {
-    ss.Update(i % 5);  // five very heavy items
-    ss.Update(10000 + static_cast<uint64_t>(i) % 3000);
-  }
-  for (uint64_t x = 0; x < 5; ++x) {
-    EXPECT_TRUE(ss.Contains(x));
-    // Underestimates but by a bounded amount in practice.
-    EXPECT_GT(ss.EstimateCount(x), 3500);
-    EXPECT_LE(ss.EstimateCount(x), 4000);
-  }
-  EXPECT_LT(ss.sampling_rate(), 1.0);
-}
-
-TEST(StickySamplingTest, EstimateNeverExceedsTruth) {
-  StickySampling ss(50, 124);
-  std::vector<int64_t> truth(40, 0);
-  Rng rng(125);
-  for (int i = 0; i < 30000; ++i) {
-    uint64_t item = rng.NextBounded(40);
-    ++truth[item];
-    ss.Update(item);
-  }
-  for (uint64_t x = 0; x < 40; ++x) {
-    EXPECT_LE(ss.EstimateCount(x), truth[x]);
-  }
 }
 
 TEST(CountMinTest, NeverUnderestimates) {

@@ -1,5 +1,5 @@
 // Tests for hashing/: XXH64 reference vectors, mixer bijectivity and
-// avalanche, k-wise polynomial hashing, and tabulation hashing.
+// avalanche, and k-wise polynomial hashing.
 
 #include <cstdint>
 #include <cstring>
@@ -11,7 +11,6 @@
 
 #include "hashing/hash.h"
 #include "hashing/poly_hash.h"
-#include "hashing/tabulation.h"
 #include "util/random.h"
 
 namespace dsketch {
@@ -150,27 +149,6 @@ TEST(PolyHashTest, PairwiseIndependenceOfSigns) {
     sum += h.HashSign(2 * k) * h.HashSign(2 * k + 1);
   }
   EXPECT_LT(std::abs(sum), 1600);
-}
-
-TEST(TabulationHashTest, DeterministicAndSpreads) {
-  Rng rng(40);
-  TabulationHash h(rng);
-  EXPECT_EQ(h.Hash(12345), h.Hash(12345));
-  std::set<uint64_t> outputs;
-  for (uint64_t k = 0; k < 10000; ++k) outputs.insert(h.Hash(k));
-  EXPECT_EQ(outputs.size(), 10000u);
-}
-
-TEST(TabulationHashTest, AvalancheOnLowBits) {
-  Rng rng(41);
-  TabulationHash h(rng);
-  double flips = 0;
-  const int kTrials = 2000;
-  for (int t = 0; t < kTrials; ++t) {
-    uint64_t x = rng.NextU64();
-    flips += __builtin_popcountll(h.Hash(x) ^ h.Hash(x ^ 1));
-  }
-  EXPECT_NEAR(flips / kTrials, 32.0, 1.5);
 }
 
 }  // namespace

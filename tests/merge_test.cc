@@ -25,6 +25,8 @@
 #include "stream/generators.h"
 #include "util/random.h"
 #include "window/windowed_sketch.h"
+#include "wire/codec.h"
+#include "wire/varint.h"
 
 namespace dsketch {
 namespace {
@@ -432,6 +434,27 @@ std::vector<uint64_t> SkewedRows(uint64_t seed, size_t rows) {
   return out;
 }
 
+// The deterministic sketch has no wire codec; its merge is pinned in the
+// byte layout that codec used (envelope kind 2, version 2, then varint
+// capacity, entry count, and item + count delta per entry in Entries()
+// order), so its digest is comparable across revisions.
+std::string DeterministicPinBytes(const DeterministicSpaceSaving& sketch) {
+  const std::vector<SketchEntry> entries = sketch.Entries();
+  std::string out;
+  wire::WriteEnvelope(out, /*kind=*/2, wire::kVersionCurrent);
+  wire::VarintWriter writer(out);
+  writer.PutVarint(sketch.capacity());
+  writer.PutVarint(entries.size());
+  int64_t prev = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    writer.PutVarint(entries[i].item);
+    writer.PutVarint(static_cast<uint64_t>(
+        i == 0 ? entries[i].count : prev - entries[i].count));
+    prev = entries[i].count;
+  }
+  return out;
+}
+
 UnbiasedSpaceSaving FilledSketch(size_t capacity, uint64_t seed,
                                  uint64_t stream_seed, size_t rows) {
   UnbiasedSpaceSaving sketch(capacity, seed);
@@ -453,7 +476,8 @@ TEST(MergeBytesPinTest, MergeOutputsAreBitStable) {
   DeterministicSpaceSaving da(300, 1), db(300, 2);
   for (uint64_t item : SkewedRows(3, 20000)) da.Update(item);
   for (uint64_t item : SkewedRows(4, 20000)) db.Update(item);
-  blobs.push_back({"merge_deterministic", Serialize(Merge(da, db, 256, 13))});
+  blobs.push_back(
+      {"merge_deterministic", DeterministicPinBytes(Merge(da, db, 256, 13))});
 
   // MergeAll over five sketches.
   std::vector<UnbiasedSpaceSaving> many;

@@ -16,7 +16,6 @@
 #include "core/space_saving_core.h"
 #include "core/unbiased_space_saving.h"
 #include "core/weighted_space_saving.h"
-#include "hhh/hierarchical_heavy_hitters.h"
 #include "query/engine.h"
 #include "stats/welford.h"
 #include "stream/ad_click.h"
@@ -212,15 +211,6 @@ TEST(RobustnessTest, RepeatedLoadEntriesLifecycle) {
     for (const SketchEntry& e : sketch.Entries()) sum += e.count;
     ASSERT_EQ(sum, running_total) << "cycle " << cycle;
   }
-}
-
-TEST(RobustnessTest, HierarchicalContracts) {
-  EXPECT_DEATH(HierarchicalHeavyHitters(0, 8, 4), "CHECK failed");
-  EXPECT_DEATH(HierarchicalHeavyHitters(9, 8, 4), "CHECK failed");
-  HierarchicalHeavyHitters hhh(2, 8, 4);
-  hhh.Update(42);
-  EXPECT_DEATH(hhh.Query(0.0), "CHECK failed");
-  EXPECT_DEATH(hhh.EstimatePrefix(42, 5), "CHECK failed");
 }
 
 TEST(RobustnessTest, DistinctFloodThenHeavyRecovers) {

@@ -1,6 +1,5 @@
-// Tests for sampling/: thresholded PPS probabilities, the pivotal
-// (Deville-Tillé splitting) sampler, priority sampling, bottom-k, and
-// Horvitz-Thompson helpers.
+// Tests for sampling/: thresholded PPS probabilities, priority sampling,
+// and bottom-k.
 
 #include <cmath>
 #include <cstdint>
@@ -11,11 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "sampling/bottom_k.h"
-#include "sampling/horvitz_thompson.h"
-#include "sampling/pivotal.h"
 #include "sampling/pps.h"
 #include "sampling/priority_sampling.h"
-#include "sampling/systematic.h"
 #include "stats/welford.h"
 #include "util/random.h"
 
@@ -63,58 +59,6 @@ TEST(PpsTest, ItemVarianceFormula) {
   EXPECT_NEAR(PpsItemVariance(10.0, 0.5), 100.0, 1e-12);
   EXPECT_EQ(PpsItemVariance(10.0, 1.0), 0.0);
   EXPECT_EQ(PpsItemVariance(10.0, 0.0), 0.0);
-}
-
-TEST(PivotalTest, FixedSizeWhenSumIntegral) {
-  Rng rng(71);
-  std::vector<double> probs{0.2, 0.5, 0.3, 0.7, 0.3};  // sum = 2
-  for (int t = 0; t < 2000; ++t) {
-    auto take = PivotalSample(probs, rng);
-    int size = std::accumulate(take.begin(), take.end(), 0);
-    EXPECT_EQ(size, 2);
-  }
-}
-
-TEST(PivotalTest, MarginalsMatchTargets) {
-  Rng rng(72);
-  std::vector<double> probs{0.1, 0.9, 0.45, 0.55, 0.6, 0.4};  // sum = 3
-  const int kTrials = 60000;
-  std::vector<int> hits(probs.size(), 0);
-  for (int t = 0; t < kTrials; ++t) {
-    auto take = PivotalSample(probs, rng);
-    for (size_t i = 0; i < take.size(); ++i) hits[i] += take[i];
-  }
-  for (size_t i = 0; i < probs.size(); ++i) {
-    double freq = hits[i] / static_cast<double>(kTrials);
-    // 5 sigma of sqrt(p(1-p)/n) <= 0.011
-    EXPECT_NEAR(freq, probs[i], 0.012) << "unit " << i;
-  }
-}
-
-TEST(PivotalTest, DeterministicUnitsRespected) {
-  Rng rng(73);
-  std::vector<double> probs{1.0, 0.0, 1.0, 0.0};
-  for (int t = 0; t < 100; ++t) {
-    auto take = PivotalSample(probs, rng);
-    EXPECT_EQ(take[0], 1);
-    EXPECT_EQ(take[1], 0);
-    EXPECT_EQ(take[2], 1);
-    EXPECT_EQ(take[3], 0);
-  }
-}
-
-TEST(PivotalTest, PpsSampleEstimatorIsUnbiased) {
-  std::vector<double> weights{1, 2, 3, 4, 50, 7, 1, 1, 9, 22};
-  double truth = std::accumulate(weights.begin(), weights.end(), 0.0);
-  const size_t k = 4;
-  Welford est;
-  for (int t = 0; t < 20000; ++t) {
-    Rng rng(1000 + t);
-    std::vector<double> probs;
-    auto take = PivotalPpsSample(weights, k, rng, &probs);
-    est.Add(HorvitzThompsonTotal(take, weights, probs));
-  }
-  EXPECT_NEAR(est.mean(), truth, 5 * est.stderr_mean() + 1e-9);
 }
 
 TEST(PrioritySamplerTest, ExactWhenUnderCapacity) {
@@ -226,79 +170,6 @@ TEST(BottomKTest, SubsetEstimateIsUnbiasedOverSeeds) {
         [](uint64_t item) { return item % 2 == 0; }));
   }
   EXPECT_NEAR(est.mean(), truth, 5 * est.stderr_mean());
-}
-
-TEST(SystematicTest, FixedSizeWhenSumIntegral) {
-  Rng rng(78);
-  std::vector<double> probs{0.3, 0.7, 0.5, 0.5, 0.6, 0.4};  // sum = 3
-  for (int t = 0; t < 5000; ++t) {
-    auto take = SystematicSample(probs, rng);
-    EXPECT_EQ(std::accumulate(take.begin(), take.end(), 0), 3);
-  }
-}
-
-TEST(SystematicTest, MarginalsMatchTargets) {
-  Rng rng(79);
-  std::vector<double> probs{0.15, 0.85, 0.4, 0.6, 0.25, 0.75};  // sum = 3
-  const int kTrials = 60000;
-  std::vector<int> hits(probs.size(), 0);
-  for (int t = 0; t < kTrials; ++t) {
-    auto take = SystematicSample(probs, rng);
-    for (size_t i = 0; i < take.size(); ++i) hits[i] += take[i];
-  }
-  for (size_t i = 0; i < probs.size(); ++i) {
-    EXPECT_NEAR(hits[i] / static_cast<double>(kTrials), probs[i], 0.012)
-        << "unit " << i;
-  }
-}
-
-TEST(SystematicTest, CertainUnitsAlwaysTaken) {
-  Rng rng(80);
-  std::vector<double> probs{1.0, 0.0, 1.0, 0.5, 0.5};
-  for (int t = 0; t < 1000; ++t) {
-    auto take = SystematicSample(probs, rng);
-    EXPECT_EQ(take[0], 1);
-    EXPECT_EQ(take[1], 0);
-    EXPECT_EQ(take[2], 1);
-  }
-}
-
-TEST(SystematicTest, PpsEstimatorIsUnbiased) {
-  std::vector<double> weights{2, 9, 4, 1, 30, 3, 8, 1, 5, 12};
-  double truth = std::accumulate(weights.begin(), weights.end(), 0.0);
-  const size_t k = 3;
-  Welford est;
-  for (int t = 0; t < 20000; ++t) {
-    Rng rng(6000 + t);
-    std::vector<double> probs;
-    auto take = SystematicPpsSample(weights, k, rng, &probs);
-    est.Add(HorvitzThompsonTotal(take, weights, probs));
-  }
-  EXPECT_NEAR(est.mean(), truth, 5 * est.stderr_mean() + 1e-9);
-}
-
-TEST(SystematicTest, ConsumesOneVariatePerSample) {
-  // Two generators advanced identically must produce identical samples;
-  // the draw uses exactly one uniform, so the generators stay in lockstep.
-  Rng rng_a(81), rng_b(81);
-  std::vector<double> probs{0.2, 0.8, 0.5, 0.5};
-  for (int t = 0; t < 100; ++t) {
-    auto a = SystematicSample(probs, rng_a);
-    auto b = SystematicSample(probs, rng_b);
-    EXPECT_EQ(a, b);
-  }
-  EXPECT_EQ(rng_a.NextU64(), rng_b.NextU64());
-}
-
-TEST(HorvitzThompsonTest, TotalAndAdjustment) {
-  std::vector<uint8_t> take{1, 0, 1};
-  std::vector<double> weights{2.0, 5.0, 4.0};
-  std::vector<double> probs{0.5, 0.1, 1.0};
-  EXPECT_NEAR(HorvitzThompsonTotal(take, weights, probs), 8.0, 1e-12);
-  auto adj = HorvitzThompsonAdjust(take, weights, probs);
-  EXPECT_NEAR(adj[0], 4.0, 1e-12);
-  EXPECT_EQ(adj[1], 0.0);
-  EXPECT_NEAR(adj[2], 4.0, 1e-12);
 }
 
 }  // namespace

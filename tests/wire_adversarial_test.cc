@@ -1,7 +1,7 @@
 // Adversarial decoder hardening across every sketch kind and both wire
 // versions: truncation at every byte boundary, trailing garbage, an
 // exhaustive single-bit-flip sweep, and hand-crafted hostile headers
-// (huge capacities/arity/geometry, varint overflow, delta underflow) —
+// (huge capacities, varint overflow, delta underflow, retired kinds) —
 // plus the frozen image (kind 8), whose offset-based layout gets its own
 // hostile-header sweep (overlapping sections, out-of-bounds/wrapping
 // offsets, misaligned sections, lying counts) and a content-lie sweep
@@ -28,15 +28,13 @@
 #include "wire/codec.h"
 #include "wire/frozen.h"
 #include "wire/varint.h"
+#include "wire_golden_common.h"
 
 namespace dsketch {
 namespace {
 
-// Kind bytes, part of the wire contract (see core/serialization.cc).
+// Kind bytes, part of the wire contract (see wire/codec.cc).
 constexpr uint8_t kKindUnbiased = 1;
-constexpr uint8_t kKindMultiMetric = 4;
-constexpr uint8_t kKindMisraGries = 5;
-constexpr uint8_t kKindCountMin = 6;
 // kWireKindWindowed (7) comes from window/window_wire.h.
 
 struct Blob {
@@ -57,29 +55,13 @@ std::vector<Blob> AllBlobs() {
   for (int i = 0; i < 400; ++i) uss.Update(rng.NextBounded(30));
   add("unbiased", Serialize(uss), SerializeV1(uss));
 
-  DeterministicSpaceSaving dss(8, 12);
-  for (int i = 0; i < 400; ++i) dss.Update(i % 30);
-  add("deterministic", Serialize(dss), SerializeV1(dss));
-
   WeightedSpaceSaving wss(8, 13);
   for (int i = 0; i < 300; ++i) {
     wss.Update(rng.NextBounded(30), 0.5 + rng.NextDouble());
   }
-  add("weighted", Serialize(wss), SerializeV1(wss));
-
-  MultiMetricSpaceSaving mm(6, 2, 14);
-  for (int i = 0; i < 300; ++i) {
-    mm.Update(rng.NextBounded(25), 1.0, {rng.NextDouble(), 2.0});
-  }
-  add("multimetric", Serialize(mm), SerializeV1(mm));
-
-  MisraGries mg(6);
-  for (int i = 0; i < 500; ++i) mg.Update(rng.NextBounded(40));
-  add("misragries", Serialize(mg), SerializeV1(mg));
-
-  CountMin cm(16, 2, 15, /*conservative=*/false);
-  for (int i = 0; i < 300; ++i) cm.Update(rng.NextBounded(50), 2);
-  add("countmin", Serialize(cm), SerializeV1(cm));
+  // The v1 weighted encoder is gone; the checked-in golden seeds that
+  // kind's v1 sweeps.
+  add("weighted", Serialize(wss), golden::ReadFixture("v1_weighted.bin"));
 
   // The windowed ring kind is v2-only, so it contributes one blob (with
   // a populated decayed accumulator so every payload section is swept).
@@ -111,11 +93,7 @@ std::vector<Blob> AllBlobs() {
 size_t DecodeAll(std::string_view bytes) {
   size_t accepted = 0;
   if (DeserializeUnbiased(bytes, 3).has_value()) ++accepted;
-  if (DeserializeDeterministic(bytes, 3).has_value()) ++accepted;
   if (DeserializeWeighted(bytes, 3).has_value()) ++accepted;
-  if (DeserializeMultiMetric(bytes, 3).has_value()) ++accepted;
-  if (DeserializeMisraGries(bytes).has_value()) ++accepted;
-  if (DeserializeCountMin(bytes).has_value()) ++accepted;
   if (DeserializeWindowed(bytes, 3).has_value()) ++accepted;
   return accepted;
 }
@@ -266,51 +244,25 @@ TEST(WireAdversarialTest, VarintOverflowAndDeltaUnderflowAreRejected) {
   EXPECT_EQ(DecodeAll(duplicate), 0u);
 }
 
-TEST(WireAdversarialTest, HostileArityAndGeometryAreRejected) {
-  // MultiMetric arity blowing the footprint bound.
-  std::string huge_arity =
-      V2Blob(kKindMultiMetric, [](wire::VarintWriter& w) {
-        w.PutVarint(1 << 20);  // capacity passes the header cap alone
-        w.PutVarint(0);
-        w.PutVarint(1 << 20);  // capacity * (2 + K) >> cap
-      });
-  EXPECT_EQ(DecodeAll(huge_arity), 0u);
-
-  // CountMin geometry: zero width, oversized width, and a product that
-  // overflows the cell cap.
-  for (auto [width, depth] :
-       std::vector<std::pair<uint64_t, uint64_t>>{
-           {0, 2},
-           {kMaxSerializableCountMinCells + 1, 1},
-           {uint64_t{1} << 24, uint64_t{1} << 24}}) {
-    std::string bad = V2Blob(kKindCountMin, [&](wire::VarintWriter& w) {
-      w.PutVarint(width);
-      w.PutVarint(depth);
-      w.PutValue(uint64_t{9});  // seed
-      w.PutByte(0);
-      w.PutVarint(0);  // total
-    });
-    EXPECT_EQ(DecodeAll(bad), 0u) << width << "x" << depth;
+TEST(WireAdversarialTest, RetiredKindsAreRejected) {
+  // Kinds 2, 4, 5 and 6 belonged to retired codecs (deterministic Space
+  // Saving, multi-metric, Misra-Gries, CountMin). Their bytes stay
+  // reserved and decode as nothing: a valid Unbiased payload relabeled
+  // with one of them, at either version, must classify as unknown and be
+  // rejected by every decoder.
+  UnbiasedSpaceSaving uss(8, 11);
+  Rng rng(500);
+  for (int i = 0; i < 400; ++i) uss.Update(rng.NextBounded(30));
+  for (const std::string& valid : {Serialize(uss), SerializeV1(uss)}) {
+    for (uint8_t kind : {2, 4, 5, 6}) {
+      std::string retired = valid;
+      retired[4] = static_cast<char>(kind);  // envelope kind byte
+      EXPECT_FALSE(wire::DescribeWire(retired).has_value())
+          << "kind " << int{kind} << " version " << int{retired[5]};
+      EXPECT_EQ(DecodeAll(retired), 0u)
+          << "kind " << int{kind} << " version " << int{retired[5]};
+    }
   }
-
-  // CountMin claiming a maximal table with no cell bytes behind it.
-  std::string cm_bomb = V2Blob(kKindCountMin, [](wire::VarintWriter& w) {
-    w.PutVarint(kMaxSerializableCountMinCells / 2);
-    w.PutVarint(2);
-    w.PutValue(uint64_t{9});
-    w.PutByte(0);
-    w.PutVarint(0);
-  });
-  EXPECT_EQ(DecodeAll(cm_bomb), 0u);
-
-  // MisraGries claiming more decrements than rows.
-  std::string mg_bad = V2Blob(kKindMisraGries, [](wire::VarintWriter& w) {
-    w.PutVarint(4);
-    w.PutVarint(0);
-    w.PutVarint(10);  // decrements
-    w.PutVarint(3);   // total < decrements
-  });
-  EXPECT_EQ(DecodeAll(mg_bad), 0u);
 }
 
 TEST(WireAdversarialTest, HostileWindowRingHeadersAreRejected) {

@@ -1,18 +1,28 @@
 // Deterministic reference sketches behind the checked-in golden
 // fixtures in tests/golden/. The generator (wire_golden_gen.cc) encodes
-// these (SerializeV1 for the legacy kinds; the current encoder for the
-// v2-only windowed ring) and writes the .bin files; wire_compat_test
-// rebuilds the same sketches and asserts (a) the encoders still produce
-// the golden bytes byte-for-byte and (b) the goldens decode into the
-// same state. Never change these recipes without regenerating the
-// fixtures — they pin the wire contract.
+// the ones that still have a writer (SerializeV1 for the legacy
+// Unbiased kind; the current encoders for the v2-only windowed ring and
+// frozen image) and writes the .bin files. v1_weighted.bin has no
+// writer left: its bytes are frozen, and Weighted() is the recipe they
+// decode into. wire_compat_test rebuilds the same sketches and asserts
+// (a) the encoders that remain still produce the golden bytes
+// byte-for-byte and (b) every golden decodes into the same state. Never
+// change these recipes without regenerating the fixtures — they pin
+// the wire contract.
 
 #ifndef DSKETCH_TESTS_WIRE_GOLDEN_COMMON_H_
 #define DSKETCH_TESTS_WIRE_GOLDEN_COMMON_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
+
+#ifdef DSKETCH_GOLDEN_DIR
+#include <gtest/gtest.h>
+#endif
 
 #include "core/serialization.h"
 #include "util/random.h"
@@ -41,43 +51,11 @@ inline UnbiasedSpaceSaving Unbiased() {
   return sketch;
 }
 
-inline DeterministicSpaceSaving Deterministic() {
-  DeterministicSpaceSaving sketch(16, 1002);
-  for (int i = 0; i < 3000; ++i) sketch.Update(i % 40);
-  return sketch;
-}
-
 inline WeightedSpaceSaving Weighted() {
   WeightedSpaceSaving sketch(8, 1003);
   Rng rng(2003);
   for (int i = 0; i < 2000; ++i) {
     sketch.Update(rng.NextBounded(50), 0.25 + rng.NextDouble());
-  }
-  return sketch;
-}
-
-inline MultiMetricSpaceSaving MultiMetric() {
-  MultiMetricSpaceSaving sketch(16, 3, 1004);
-  Rng rng(2004);
-  for (int i = 0; i < 4000; ++i) {
-    sketch.Update(rng.NextBounded(60), 0.5 + rng.NextDouble(),
-                  {rng.NextDouble(), 2.0 * rng.NextDouble(), 0.0});
-  }
-  return sketch;
-}
-
-inline MisraGries MisraGriesSketch() {
-  MisraGries sketch(12);
-  Rng rng(2005);
-  for (int i = 0; i < 8000; ++i) sketch.Update(rng.NextBounded(300));
-  return sketch;
-}
-
-inline CountMin CountMinSketch() {
-  CountMin sketch(16, 2, 1006, /*conservative=*/true);
-  Rng rng(2006);
-  for (int i = 0; i < 3000; ++i) {
-    sketch.Update(rng.NextBounded(100), 1 + rng.NextBounded(4));
   }
   return sketch;
 }
@@ -102,10 +80,22 @@ inline WindowedSpaceSaving Windowed() {
   return sketch;
 }
 
-/// File names of the v1 fixtures, index-aligned with the kinds above.
+#ifdef DSKETCH_GOLDEN_DIR
+/// Reads a checked-in fixture. tests/CMakeLists.txt injects
+/// DSKETCH_GOLDEN_DIR into the gtest suites that read the goldens.
+inline std::string ReadFixture(const char* name) {
+  const std::string path = std::string(DSKETCH_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+#endif
+
+/// File names of the v1 fixtures: the Unbiased() and Weighted() states.
 inline constexpr const char* kFixtureNames[] = {
-    "v1_unbiased.bin",    "v1_deterministic.bin", "v1_weighted.bin",
-    "v1_multimetric.bin", "v1_misragries.bin",    "v1_countmin.bin",
+    "v1_unbiased.bin",
+    "v1_weighted.bin",
 };
 
 /// The v2-only windowed-ring fixture (kind 7 was born on wire v2, so

@@ -1,8 +1,10 @@
-// Regenerates the checked-in v1 golden fixtures:
+// Regenerates the checked-in golden fixtures that still have a writer
+// (v1_unbiased.bin, v2_windowed.bin, frozen_unbiased.bin; the bytes of
+// v1_weighted.bin are frozen, since its v1 writer is gone):
 //
 //   ./wire_golden_gen <output_dir>
 //
-// Run only when intentionally re-pinning the legacy wire contract (the
+// Run only when intentionally re-pinning the wire contract (the
 // fixtures exist to catch accidental drift, so regeneration should be a
 // deliberate, reviewed act); wire_compat_test verifies the checked-in
 // bytes against the recipes in wire_golden_common.h.
@@ -31,18 +33,8 @@ int WriteFixture(const std::string& dir, const char* name,
 
 int Run(const std::string& dir) {
   int failures = 0;
-  failures += WriteFixture(dir, golden::kFixtureNames[0],
+  failures += WriteFixture(dir, "v1_unbiased.bin",
                            SerializeV1(golden::Unbiased()));
-  failures += WriteFixture(dir, golden::kFixtureNames[1],
-                           SerializeV1(golden::Deterministic()));
-  failures += WriteFixture(dir, golden::kFixtureNames[2],
-                           SerializeV1(golden::Weighted()));
-  failures += WriteFixture(dir, golden::kFixtureNames[3],
-                           SerializeV1(golden::MultiMetric()));
-  failures += WriteFixture(dir, golden::kFixtureNames[4],
-                           SerializeV1(golden::MisraGriesSketch()));
-  failures += WriteFixture(dir, golden::kFixtureNames[5],
-                           SerializeV1(golden::CountMinSketch()));
   failures += WriteFixture(dir, golden::kWindowedFixtureName,
                            SerializeWindowed(golden::Windowed()));
   failures += WriteFixture(dir, golden::kFrozenFixtureName,
