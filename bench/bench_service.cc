@@ -51,7 +51,8 @@ obs::HistogramSnapshot LatencySnapshot(const char* opcode) {
   return h != nullptr ? h->Snapshot() : obs::HistogramSnapshot{};
 }
 
-void Run(int argc, char** argv) {
+// Returns false when a query round trip failed (the smoke test's gate).
+bool Run(int argc, char** argv) {
   const int64_t rows_n = bench::FlagInt(argc, argv, "rows", 2000000);
   const int64_t items = bench::FlagInt(argc, argv, "items", 100000);
   const int64_t shards = bench::FlagInt(argc, argv, "shards", 2);
@@ -164,12 +165,17 @@ void Run(int argc, char** argv) {
 
   std::printf("\n%-14s %14s %14s %8s %8s %8s\n", "query", "round_trips_s",
               "us_per_query", "p50_us", "p95_us", "p99_us");
+  bool ok = true;
   for (const QueryCase& c : cases) {
     c.run();  // warm the merged snapshot cache
     const obs::HistogramSnapshot before = LatencySnapshot(c.opcode);
     auto start = Clock::now();
     for (int64_t i = 0; i < query_iters; ++i) {
-      if (!c.run()) break;
+      if (!c.run()) {
+        std::fprintf(stderr, "%s: round trip failed\n", c.name);
+        ok = false;
+        break;
+      }
     }
     double elapsed = SecondsSince(start);
     double qps = static_cast<double>(query_iters) / elapsed;
@@ -269,12 +275,10 @@ void Run(int argc, char** argv) {
       "\n(framed vs direct gap = protocol + frame + response round-trip\n"
       " cost; queries pay one merged-snapshot rebuild when state changed\n"
       " since the last query, then serve from the cached view)\n");
+  return ok;
 }
 
 }  // namespace
 }  // namespace dsketch
 
-int main(int argc, char** argv) {
-  dsketch::Run(argc, argv);
-  return 0;
-}
+int main(int argc, char** argv) { return dsketch::Run(argc, argv) ? 0 : 1; }

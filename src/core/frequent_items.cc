@@ -1,5 +1,6 @@
 #include "core/frequent_items.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -25,11 +26,17 @@ std::vector<FrequentItem> FrequentFromEntries(
   return out;
 }
 
-std::vector<SketchEntry> TopKFromEntries(std::vector<SketchEntry> entries,
-                                         size_t k) {
+// The first k bins in Entries() order, read in place: the rest of the
+// sketch is never copied.
+std::vector<SketchEntry> FirstK(const SpaceSavingCore& core, size_t k) {
   DSKETCH_CHECK(k > 0);
-  if (entries.size() > k) entries.resize(k);
-  return entries;
+  std::vector<SketchEntry> out;
+  out.reserve(std::min(k, core.size()));
+  core.ForEachEntry([&](uint64_t item, int64_t count) {
+    out.push_back({item, count});
+    return out.size() < k;
+  });
+  return out;
 }
 
 }  // namespace
@@ -48,11 +55,11 @@ std::vector<FrequentItem> FrequentItems(const UnbiasedSpaceSaving& sketch,
 
 std::vector<SketchEntry> TopK(const DeterministicSpaceSaving& sketch,
                               size_t k) {
-  return TopKFromEntries(sketch.Entries(), k);
+  return FirstK(sketch.core(), k);
 }
 
 std::vector<SketchEntry> TopK(const UnbiasedSpaceSaving& sketch, size_t k) {
-  return TopKFromEntries(sketch.Entries(), k);
+  return FirstK(sketch.core(), k);
 }
 
 }  // namespace dsketch

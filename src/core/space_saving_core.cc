@@ -308,11 +308,10 @@ int64_t SpaceSavingCore::EstimateCount(uint64_t item) const {
 std::vector<SketchEntry> SpaceSavingCore::Entries() const {
   std::vector<SketchEntry> out;
   out.reserve(index_.size());
-  // Slots are ascending by count; emit in reverse for descending order.
-  for (size_t i = slots_.size(); i > 0; --i) {
-    const Slot& s = slots_[i - 1];
-    if (s.item != kNoLabel) out.push_back({s.item, s.count});
-  }
+  ForEachEntry([&out](uint64_t item, int64_t count) {
+    out.push_back({item, count});
+    return true;
+  });
   return out;
 }
 

@@ -83,8 +83,22 @@ class SpaceSavingCore {
   /// Number of bins currently holding a label.
   size_t size() const { return index_.size(); }
 
-  /// All labeled bins, sorted by descending count.
+  /// All labeled bins, sorted by descending count (a copy; ForEachEntry
+  /// walks the same bins in place).
   std::vector<SketchEntry> Entries() const;
+
+  /// Calls `visit(item, count)` on each labeled bin in Entries() order,
+  /// in place, and stops as soon as `visit` returns false. The query
+  /// reduce (core/subset_sum.h, TopK) reads the bins through this, so a
+  /// query copies nothing.
+  template <typename Visit>
+  void ForEachEntry(Visit&& visit) const {
+    // Slots are ascending by count; walk them in reverse.
+    for (size_t i = slots_.size(); i > 0; --i) {
+      const Slot& s = slots_[i - 1];
+      if (s.item != kNoLabel && !visit(s.item, s.count)) return;
+    }
+  }
 
   /// Replaces the sketch contents with `entries` (at most `capacity()`,
   /// distinct labels). Used by the merge operations to materialize a

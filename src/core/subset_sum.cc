@@ -18,8 +18,7 @@ Interval SubsetSumEstimate::Confidence(double level) const {
 SubsetSumEstimate EstimateSubsetSum(
     const UnbiasedSpaceSaving& sketch,
     const std::function<bool(uint64_t)>& pred) {
-  return EstimateSubsetSumFromEntries(sketch.Entries(), sketch.MinCount(),
-                                      pred);
+  return SubsetSumOver(sketch, sketch.MinCount(), pred);
 }
 
 SubsetSumEstimate EstimateSubsetSum(

@@ -61,6 +61,13 @@ class UnbiasedSpaceSaving {
   /// Labeled bins in descending count order.
   std::vector<SketchEntry> Entries() const { return core_.Entries(); }
 
+  /// Visits the labeled bins in Entries() order without copying them;
+  /// stops when `visit(item, count)` returns false.
+  template <typename Visit>
+  void ForEachEntry(Visit&& visit) const {
+    core_.ForEachEntry(visit);
+  }
+
   /// Access for merge/estimation helpers.
   const SpaceSavingCore& core() const { return core_; }
   SpaceSavingCore& core() { return core_; }

@@ -6,7 +6,8 @@
 
 namespace dsketch {
 
-AttributeTable::AttributeTable(size_t num_dims) : num_dims_(num_dims) {
+AttributeTable::AttributeTable(size_t num_dims)
+    : num_dims_(num_dims), cardinality_(num_dims, 0) {
   DSKETCH_CHECK(num_dims > 0);
 }
 
@@ -14,6 +15,9 @@ uint64_t AttributeTable::AddItem(const std::vector<uint32_t>& attrs) {
   DSKETCH_CHECK(attrs.size() == num_dims_);
   uint64_t id = num_items();
   flat_.insert(flat_.end(), attrs.begin(), attrs.end());
+  for (size_t d = 0; d < num_dims_; ++d) {
+    cardinality_[d] = std::max(cardinality_[d], uint64_t{attrs[d]} + 1);
+  }
   return id;
 }
 
@@ -22,13 +26,9 @@ uint32_t AttributeTable::Get(uint64_t item, size_t dim) const {
   return flat_[item * num_dims_ + dim];
 }
 
-uint32_t AttributeTable::DimCardinality(size_t dim) const {
+uint64_t AttributeTable::DimCardinality(size_t dim) const {
   DSKETCH_CHECK(dim < num_dims_);
-  uint32_t max_val = 0;
-  for (size_t i = dim; i < flat_.size(); i += num_dims_) {
-    max_val = std::max(max_val, flat_[i]);
-  }
-  return flat_.empty() ? 0 : max_val + 1;
+  return cardinality_[dim];
 }
 
 }  // namespace dsketch

@@ -32,12 +32,18 @@ class AttributeTable {
   /// Number of items.
   size_t num_items() const { return flat_.size() / num_dims_; }
 
-  /// Largest attribute value in `dim` plus one (its cardinality bound).
-  uint32_t DimCardinality(size_t dim) const;
+  /// Largest attribute value in `dim` plus one (its cardinality bound;
+  /// 0 for an empty table). O(1): AddItem keeps it.
+  uint64_t DimCardinality(size_t dim) const;
+
+  /// The attribute tuples, row-major: item i's value in dimension d is
+  /// data()[i * num_dims() + d]. Compiled predicates read it directly.
+  const uint32_t* data() const { return flat_.data(); }
 
  private:
   size_t num_dims_;
-  std::vector<uint32_t> flat_;  // row-major, num_items x num_dims
+  std::vector<uint32_t> flat_;          // row-major, num_items x num_dims
+  std::vector<uint64_t> cardinality_;   // per dim: max value + 1
 };
 
 }  // namespace dsketch

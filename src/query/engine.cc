@@ -1,6 +1,7 @@
 #include "query/engine.h"
 
-#include <algorithm>
+#include <unordered_map>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -40,106 +41,122 @@ const UnbiasedSpaceSaving& SketchQueryEngine::QuerySketch() const {
 }
 
 SubsetSumEstimate SketchQueryEngine::Sum(const Predicate& where) const {
+  const CompiledPredicate match = where.Compile(*attrs_);
+  auto matches = [&match](uint64_t item) { return match.Matches(item); };
+  // The frozen image and the live view run the same kernel over the
+  // same entry order, so frozen answers are bit-identical to thawed ones.
   if (frozen_ != nullptr) {
-    // Zero-decode: FrozenSubsetSum walks the image in entry order with
-    // the same accumulation EstimateSubsetSum uses over Entries(), so
-    // the answer is bit-identical to the thawed path below.
-    const wire::FrozenSumResult r =
-        wire::FrozenSubsetSum(*frozen_, [&](uint64_t item) {
-          return where.Matches(*attrs_, item);
-        });
-    SubsetSumEstimate est;
-    est.estimate = r.estimate;
-    est.variance = r.variance;
-    est.items_in_sample = r.items_in_sample;
-    return est;
+    return SubsetSumOver(*frozen_, frozen_->min_count(), matches);
   }
-  return EstimateSubsetSum(QuerySketch(), [&](uint64_t item) {
-    return where.Matches(*attrs_, item);
-  });
-}
-
-template <typename KeyFn>
-std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupByImpl(
-    const Predicate& where, KeyFn&& key_of) const {
-  struct Acc {
-    double sum = 0.0;
-    uint64_t items = 0;
-  };
-  std::unordered_map<uint64_t, Acc> acc;
-  auto add = [&](uint64_t item, int64_t count) {
-    // Items the table does not describe belong to no group.
-    if (item >= attrs_->num_items()) return;
-    if (!where.Matches(*attrs_, item)) return;
-    Acc& a = acc[key_of(item)];
-    a.sum += static_cast<double>(count);
-    ++a.items;
-  };
-  int64_t min_count;
-  if (frozen_ != nullptr) {
-    const size_t n = static_cast<size_t>(frozen_->entry_count());
-    for (size_t i = 0; i < n; ++i) {
-      const wire::FrozenEntry e = frozen_->entry(i);
-      add(e.item, e.count);
-    }
-    min_count = frozen_->min_count();
-  } else {
-    const UnbiasedSpaceSaving& sketch = QuerySketch();
-    for (const SketchEntry& e : sketch.Entries()) add(e.item, e.count);
-    min_count = sketch.MinCount();
-  }
-  const double nmin = static_cast<double>(min_count);
-  std::unordered_map<uint64_t, SubsetSumEstimate> out;
-  out.reserve(acc.size());
-  for (const auto& [key, a] : acc) {
-    SubsetSumEstimate est;
-    est.estimate = a.sum;
-    est.items_in_sample = a.items;
-    est.variance =
-        nmin * nmin * static_cast<double>(std::max<uint64_t>(1, a.items));
-    out.emplace(key, est);
-  }
-  return out;
+  const UnbiasedSpaceSaving& sketch = QuerySketch();
+  return SubsetSumOver(sketch, sketch.MinCount(), matches);
 }
 
 namespace {
 
-// GroupBy1's public key type is the attribute value itself.
-std::unordered_map<uint32_t, SubsetSumEstimate> NarrowKeys(
-    const std::unordered_map<uint64_t, SubsetSumEstimate>& wide) {
-  std::unordered_map<uint32_t, SubsetSumEstimate> out;
-  out.reserve(wide.size());
-  for (const auto& [key, est] : wide) {
-    out.emplace(static_cast<uint32_t>(key), est);
+// Integer per-group sums and C_S, one accumulator per group key in
+// first-seen order, found through a hash index; GroupBy1 and GroupBy2
+// both fill one.
+class GroupSums {
+ public:
+  void Add(uint64_t key, int64_t count) {
+    Group& g = groups_[IndexOf(key)];
+    g.sum += static_cast<uint64_t>(count);  // wraps like SubsetSumOver
+    ++g.items;
   }
-  return out;
-}
+
+  /// Calls emit(key, estimate) once per group (eq. 5 per group).
+  template <typename Emit>
+  void ForEach(int64_t min_count, Emit&& emit) const {
+    for (const Group& g : groups_) {
+      emit(g.key,
+           FinishSubsetSum(static_cast<int64_t>(g.sum), g.items, min_count));
+    }
+  }
+
+ private:
+  struct Group {
+    uint64_t key;
+    uint64_t sum;
+    uint64_t items;
+  };
+
+  uint32_t IndexOf(uint64_t key) {
+    const auto [it, added] =
+        index_.try_emplace(key, static_cast<uint32_t>(groups_.size()));
+    if (added) groups_.push_back({key, 0, 0});
+    return it->second;
+  }
+
+  std::unordered_map<uint64_t, uint32_t> index_;
+  std::vector<Group> groups_;
+};
 
 }  // namespace
 
+template <typename KeyFn, typename Emit>
+void SketchQueryEngine::GroupByImpl(const Predicate& where, KeyFn&& key_of,
+                                    Emit&& emit) const {
+  const CompiledPredicate match = where.Compile(*attrs_);
+  const uint64_t num_items = attrs_->num_items();
+  GroupSums sums;
+  auto add = [&](uint64_t item, int64_t count) {
+    // Items the table does not describe belong to no group.
+    if (item < num_items && match.Matches(item)) sums.Add(key_of(item), count);
+    return true;
+  };
+  int64_t min_count;
+  if (frozen_ != nullptr) {
+    frozen_->ForEachEntry(add);
+    min_count = frozen_->min_count();
+  } else {
+    const UnbiasedSpaceSaving& sketch = QuerySketch();
+    sketch.ForEachEntry(add);
+    min_count = sketch.MinCount();
+  }
+  sums.ForEach(min_count, emit);
+}
+
 std::unordered_map<uint32_t, SubsetSumEstimate> SketchQueryEngine::GroupBy1(
     size_t dim, const Predicate& where) const {
-  auto key_of = [&](uint64_t item) {
-    return static_cast<uint64_t>(attrs_->Get(item, dim));
-  };
-  return NarrowKeys(GroupByImpl(where, key_of));
+  DSKETCH_CHECK(dim < attrs_->num_dims());
+  const uint32_t* rows = attrs_->data();
+  const size_t dims = attrs_->num_dims();
+  std::unordered_map<uint32_t, SubsetSumEstimate> out;
+  GroupByImpl(
+      where, [&](uint64_t item) { return uint64_t{rows[item * dims + dim]}; },
+      [&](uint64_t key, const SubsetSumEstimate& est) {
+        out.emplace(static_cast<uint32_t>(key), est);
+      });
+  return out;
 }
 
 std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupBy2(
     size_t d1, size_t d2, const Predicate& where) const {
-  auto key_of = [&](uint64_t item) {
-    return PackGroupKey(attrs_->Get(item, d1), attrs_->Get(item, d2));
-  };
-  return GroupByImpl(where, key_of);
+  DSKETCH_CHECK(d1 < attrs_->num_dims() && d2 < attrs_->num_dims());
+  const uint32_t* rows = attrs_->data();
+  const size_t dims = attrs_->num_dims();
+  std::unordered_map<uint64_t, SubsetSumEstimate> out;
+  GroupByImpl(
+      where,
+      [&](uint64_t item) {
+        const uint32_t* row = rows + item * dims;
+        return PackGroupKey(row[d1], row[d2]);
+      },
+      [&](uint64_t key, const SubsetSumEstimate& est) {
+        out.emplace(key, est);
+      });
+  return out;
 }
 
 SubsetSumEstimate SketchQueryEngine::SumWindow(size_t last_k,
                                                const Predicate& where) const {
   DSKETCH_CHECK(window_source_ != nullptr);
-  return EstimateSubsetSum(window_source_->WindowView(last_k),
-                           [&](uint64_t item) {
-                             return where.Matches(*attrs_, item);
-                           });
+  const CompiledPredicate match = where.Compile(*attrs_);
+  const UnbiasedSpaceSaving& view = window_source_->WindowView(last_k);
+  return SubsetSumOver(view, view.MinCount(), [&match](uint64_t item) {
+    return match.Matches(item);
+  });
 }
 
 ExactQueryEngine::ExactQueryEngine(const ExactAggregator* agg,

@@ -6,6 +6,12 @@
 // and confidence intervals — and (b) an ExactAggregator — ground truth.
 // Group-by keys are the attribute value (1-way) or a packed pair of
 // attribute values (2-way), matching the marginal queries of Fig. 6.
+//
+// Each sketch query compiles its predicate once (CompiledPredicate) and
+// walks the bins in place — the live view's or a frozen image's — with
+// integer accumulation: Sum and SumWindow through core's SubsetSumOver,
+// the group-bys through one per-group table. Nothing is copied per bin,
+// and the answers are bit-identical to a double sum over Entries().
 
 #ifndef DSKETCH_QUERY_ENGINE_H_
 #define DSKETCH_QUERY_ENGINE_H_
@@ -77,12 +83,13 @@ class SketchQueryEngine {
   // a borrowed sketch, otherwise `source_->View()` resolved per query.
   const UnbiasedSpaceSaving& QuerySketch() const;
 
-  // The one group-by body. Walks the frozen image's entries when there
-  // is one, else the live view's, and accumulates both alike, so frozen
-  // answers are bit-identical to thawed ones.
-  template <typename KeyFn>
-  std::unordered_map<uint64_t, SubsetSumEstimate> GroupByImpl(
-      const Predicate& where, KeyFn&& key_of) const;
+  // The one group-by body: walks the frozen image's entries when there
+  // is one, else the live view's, in place, with the compiled predicate
+  // and integer per-group sums, then calls emit(key, estimate) per
+  // group. Frozen and thawed walks share it, so their answers are
+  // bit-identical.
+  template <typename KeyFn, typename Emit>
+  void GroupByImpl(const Predicate& where, KeyFn&& key_of, Emit&& emit) const;
 
   const UnbiasedSpaceSaving* sketch_;
   SketchSource* source_;

@@ -104,10 +104,10 @@ inline std::vector<SketchEntry> FrozenTopK(const wire::FrozenView& view,
   const size_t n = static_cast<size_t>(view.entry_count());
   std::vector<SketchEntry> out;
   out.reserve(k < n ? k : n);
-  for (size_t i = 0; i < n && i < k; ++i) {
-    const wire::FrozenEntry e = view.entry(i);
-    out.push_back(SketchEntry{e.item, e.count});
-  }
+  view.ForEachEntry([&](uint64_t item, int64_t count) {
+    out.push_back(SketchEntry{item, count});
+    return out.size() < k;
+  });
   return out;
 }
 

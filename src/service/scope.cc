@@ -129,10 +129,13 @@ class WeightedScope : public Scope {
     rows_ += rows.size();
     return Status::kOk;
   }
+  // Real weights are order-sensitive, so this keeps the weighted sketch's
+  // own double accumulation in entry order; only the filter is compiled.
   Status Sum(const QuerySumRequest&, const Predicate& where,
              QuerySumResponse* out) override {
+    const CompiledPredicate match = where.Compile(attrs_);
     *out = SumResponse(EstimateSubsetSum(
-        View(), [&](uint64_t item) { return where.Matches(attrs_, item); }));
+        View(), [&match](uint64_t item) { return match.Matches(item); }));
     return Status::kOk;
   }
   Status TopK(const QueryTopKRequest& req, QueryTopKResponse* out) override {

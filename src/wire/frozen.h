@@ -31,7 +31,11 @@
 //
 // min_count / total_count are the bin-range metadata unbiased SUM needs
 // (paper eq. 5 variance = Nmin^2 * max(1, C_S)); the descending entry
-// order is what TOPK needs. Nothing else of the sketch travels.
+// order is what TOPK needs. Nothing else of the sketch travels. This
+// layer holds no estimator: SUM, GROUPBY and TOPK walk the entries with
+// FrozenView::ForEachEntry through the same code that walks a live
+// sketch (core/subset_sum.h, query/engine.cc), so there is no second
+// copy of a query loop to keep in step.
 //
 // Trust model: FrozenView::Vet performs strict O(1) *structural*
 // validation — envelope, exact image size, section alignment, bounds,
@@ -160,6 +164,21 @@ class FrozenView {
     return e;
   }
 
+  /// Calls `visit(item, count)` on each entry in image order (the
+  /// thawed sketch's Entries() order) and stops as soon as `visit`
+  /// returns false. Core's subset-sum kernel (core/subset_sum.h
+  /// SubsetSumOver) and the query engine's group-by walk the image
+  /// through this, so frozen answers come out of the same loop as thawed
+  /// ones and are bit-identical to them.
+  template <typename Visit>
+  void ForEachEntry(Visit&& visit) const {
+    const size_t n = static_cast<size_t>(entry_count_);
+    for (size_t i = 0; i < n; ++i) {
+      const FrozenEntry e = entry(i);
+      if (!visit(e.item, e.count)) return;
+    }
+  }
+
   /// Point estimate via the hash index: the entry count when `item` is
   /// tracked, 0 otherwise (matching the thawed EstimateCount contract on
   /// well-formed images). Probes are masked and capped at index_slots
@@ -193,38 +212,6 @@ class FrozenView {
   size_t index_offset_ = 0;
   size_t index_slots_ = 0;
 };
-
-/// Subset-sum result over a frozen view; mirrors core's
-/// SubsetSumEstimate fields without the core dependency.
-struct FrozenSumResult {
-  double estimate = 0.0;
-  double variance = 0.0;
-  uint64_t items_in_sample = 0;
-};
-
-/// The unbiased subset-sum estimator evaluated straight off the image.
-/// The loop mirrors core/subset_sum.cc EstimateSubsetSumFromEntries
-/// term-for-term (same double accumulation over the same canonical entry
-/// order, variance = Nmin^2 * max(1, C_S)), so answers are bit-identical
-/// to the thawed sketch — pinned by frozen_test and the bench_wire CI
-/// smoke, which fail if the two implementations ever drift.
-template <typename Pred>
-FrozenSumResult FrozenSubsetSum(const FrozenView& view, Pred&& pred) {
-  FrozenSumResult out;
-  const size_t n = static_cast<size_t>(view.entry_count());
-  for (size_t i = 0; i < n; ++i) {
-    const FrozenEntry e = view.entry(i);
-    if (pred(e.item)) {
-      out.estimate += static_cast<double>(e.count);
-      ++out.items_in_sample;
-    }
-  }
-  const double nmin = static_cast<double>(view.min_count());
-  const double c_s = static_cast<double>(
-      out.items_in_sample > 1 ? out.items_in_sample : uint64_t{1});
-  out.variance = nmin * nmin * c_s;
-  return out;
-}
 
 }  // namespace wire
 }  // namespace dsketch

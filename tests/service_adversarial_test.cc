@@ -8,6 +8,7 @@
 // prefixes before allocating. CI runs this suite under asan+ubsan on
 // every push.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -21,7 +22,9 @@
 #include "core/serialization.h"
 #include "core/unbiased_space_saving.h"
 #include "query/attribute_table.h"
+#include "query/predicate.h"
 #include "service/frame.h"
+#include "service/limits.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/transport.h"
@@ -546,6 +549,103 @@ TEST(ServiceAdversarialTest, GroupByDimensionBoundsAreChecked) {
   sum.where.WhereEq(5, 1);  // predicate dim out of range
   EXPECT_EQ(ResponseStatus(server.HandleRequest(EncodeQuerySumRequest(2, sum))),
             Status::kMalformed);
+}
+
+// The largest predicate the protocol admits — 64 conditions of 2^16
+// values each, spread up to UINT32_MAX — is answered (kOk), and exactly:
+// the same numbers Predicate::Matches and a double sum over the served
+// view's Entries() give.
+TEST(ServiceAdversarialTest, HostilePredicatesGetTheReferenceAnswer) {
+  AttributeTable attrs(2);
+  for (uint32_t i = 0; i < 2000; ++i) attrs.AddItem({i % 16, i % 5});
+  SketchServer server(SmallOptions(), &attrs);
+  IngestBatchRequest batch;
+  for (uint64_t i = 0; i < 20000; ++i) batch.items.push_back((i * i) % 2100);
+  ASSERT_EQ(ResponseStatus(
+                server.HandleRequest(EncodeIngestBatchRequest(1, batch))),
+            Status::kOk);
+
+  PredicateSpec spec;
+  Predicate where;
+  for (size_t c = 0; c < kMaxPredicateConditions; ++c) {
+    // i * 65537 runs from 0 to exactly 0xFFFFFFFF; the first two values
+    // are ones the table holds, so the conjunction still matches items.
+    std::vector<uint32_t> values(kMaxPredicateValues);
+    for (uint32_t i = 0; i < values.size(); ++i) values[i] = i * 65537u;
+    const uint64_t dim = c % 2;
+    values[0] = 1;
+    values[1] = dim == 0 ? 3 : 2;
+    spec.WhereIn(dim, values);
+    where.WhereIn(dim, values);
+  }
+  const UnbiasedSpaceSaving& view = server.source().View();
+  const std::vector<SketchEntry> entries = view.Entries();
+  auto reference = [&](const std::function<bool(uint64_t)>& in) {
+    QuerySumResponse out;
+    for (const SketchEntry& e : entries) {
+      if (in(e.item)) {
+        out.estimate += static_cast<double>(e.count);
+        ++out.items_in_sample;
+      }
+    }
+    const double nmin = static_cast<double>(view.MinCount());
+    out.variance = nmin * nmin *
+                   static_cast<double>(std::max<uint64_t>(1, out.items_in_sample));
+    return out;
+  };
+  auto member = [&](uint64_t item) { return where.Matches(attrs, item); };
+
+  QuerySumRequest sum;
+  sum.where = spec;
+  const std::string sum_response =
+      server.HandleRequest(EncodeQuerySumRequest(2, sum));
+  wire::VarintReader sum_reader(sum_response);
+  ResponseHeader header;
+  ASSERT_TRUE(DecodeResponseHeader(sum_reader, &header));
+  ASSERT_EQ(header.status, Status::kOk);
+  QuerySumResponse got;
+  ASSERT_TRUE(DecodeQuerySumResponse(sum_reader, &got));
+  const QuerySumResponse want = reference(member);
+  EXPECT_GT(want.items_in_sample, 0u);
+  EXPECT_EQ(got.estimate, want.estimate);
+  EXPECT_EQ(got.variance, want.variance);
+  EXPECT_EQ(got.items_in_sample, want.items_in_sample);
+
+  for (bool two_way : {false, true}) {
+    QueryGroupByRequest group;
+    group.dim1 = 0;
+    group.has_dim2 = two_way;
+    group.dim2 = 1;
+    group.where = spec;
+    const std::string response =
+        server.HandleRequest(EncodeQueryGroupByRequest(3, group));
+    wire::VarintReader reader(response);
+    ASSERT_TRUE(DecodeResponseHeader(reader, &header));
+    ASSERT_EQ(header.status, Status::kOk) << two_way;
+    QueryGroupByResponse groups;
+    ASSERT_TRUE(DecodeQueryGroupByResponse(reader, &groups));
+    auto key_of = [&](uint64_t item) {
+      return two_way ? (uint64_t{attrs.Get(item, 0)} << 32) | attrs.Get(item, 1)
+                     : uint64_t{attrs.Get(item, 0)};
+    };
+    std::vector<uint64_t> keys;
+    for (const SketchEntry& e : entries) {
+      if (member(e.item)) keys.push_back(key_of(e.item));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    ASSERT_EQ(groups.groups.size(), keys.size()) << two_way;
+    for (size_t g = 0; g < keys.size(); ++g) {
+      const GroupRow& row = groups.groups[g];  // sorted by key
+      ASSERT_EQ(row.key, keys[g]);
+      const QuerySumResponse expect = reference([&](uint64_t item) {
+        return member(item) && key_of(item) == row.key;
+      });
+      EXPECT_EQ(row.estimate, expect.estimate) << row.key;
+      EXPECT_EQ(row.variance, expect.variance) << row.key;
+      EXPECT_EQ(row.items_in_sample, expect.items_in_sample) << row.key;
+    }
+  }
 }
 
 TEST(ServiceAdversarialTest, HostileFrameLengthPrefixesDropTheConnection) {
