@@ -10,9 +10,12 @@
 //   * snapshot  — SNAPSHOT/RESTORE hop: blob bytes and replication
 //     round-trip time.
 //
-// Records baselines with --json=PATH (bench/record_baselines.sh ->
-// BENCH_service.json).
+// Every ingest mode, query case and trace setting is timed kReps times,
+// and the tables report the median with the min-max range, so a delta
+// can be read against the spread. Records baselines with
+// --json=PATH (bench/record_baselines.sh -> BENCH_service.json).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -38,6 +41,19 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+using bench::Spread;
+
+// Runs of each timed case: enough for a median and a range.
+constexpr int kReps = 5;
+
+// Runs `fn` (which returns a rate) kReps times; the rates' spread.
+template <typename Fn>
+Spread Repeat(Fn&& fn) {
+  std::vector<double> rates;
+  for (int r = 0; r < kReps; ++r) rates.push_back(fn());
+  return bench::SpreadOf(std::move(rates));
 }
 
 // The server records per-opcode latency histograms into the global
@@ -78,6 +94,7 @@ bool Run(int argc, char** argv) {
     json.Add("items", items);
     json.Add("shards", shards);
     json.Add("bins", capacity);
+    json.Add("reps", static_cast<int64_t>(kReps));
     json.Add("metrics", std::string(obs::MetricsBuildMode()));
   }
 
@@ -87,12 +104,13 @@ bool Run(int argc, char** argv) {
   options.merged_capacity = static_cast<size_t>(capacity);
 
   // --- ingest: framed vs direct ---------------------------------------
-  std::printf("\n%-12s %14s %16s %14s\n", "batch_rows", "framed_Mrows_s",
-              "direct_Mrows_s", "protocol_cost");
+  std::printf("\n%-10s %26s %26s %9s\n", "batch_rows",
+              "framed Mrows/s (min-max)", "direct Mrows/s (min-max)",
+              "protocol");
+  const double n_rows = static_cast<double>(rows.size());
   for (int64_t batch : {1024, 8192, 65536}) {
     // Framed path: client -> frames -> server -> sharded source.
-    double framed_s;
-    {
+    const Spread framed = Repeat([&] {
       InMemoryDuplex duplex;
       SketchServer server(options, &attrs);
       std::thread serve([&] { server.Serve(duplex.server()); });
@@ -105,13 +123,13 @@ bool Run(int argc, char** argv) {
         client.IngestBatch(Span<const uint64_t>(rows.data() + pos, len));
       }
       client.Stats();  // forces a flush so all rows are applied
-      framed_s = SecondsSince(start);
+      const double rate = n_rows / SecondsSince(start) / 1e6;
       client.Shutdown();
       serve.join();
-    }
+      return rate;
+    });
     // Direct path: same batches straight into the source.
-    double direct_s;
-    {
+    const Spread direct = Repeat([&] {
       ShardedSketchSource source(options.shard,
                                  static_cast<size_t>(capacity), 1);
       auto start = Clock::now();
@@ -122,18 +140,17 @@ bool Run(int argc, char** argv) {
         source.Ingest(Span<const uint64_t>(rows.data() + pos, len));
       }
       source.Flush();
-      direct_s = SecondsSince(start);
-    }
-    const double framed_rate = static_cast<double>(rows.size()) / framed_s / 1e6;
-    const double direct_rate = static_cast<double>(rows.size()) / direct_s / 1e6;
-    std::printf("%-12lld %14.2f %16.2f %13.1f%%\n",
-                static_cast<long long>(batch), framed_rate, direct_rate,
-                100.0 * (direct_rate - framed_rate) / direct_rate);
+      return n_rows / SecondsSince(start) / 1e6;
+    });
+    std::printf("%-10lld %8.2f (%6.2f-%6.2f) %8.2f (%6.2f-%6.2f) %8.1f%%\n",
+                static_cast<long long>(batch), framed.median, framed.min,
+                framed.max, direct.median, direct.min, direct.max,
+                100.0 * (direct.median - framed.median) / direct.median);
     if (json.enabled()) {
       json.BeginRecord("ingest");
       json.Add("batch_rows", batch);
-      json.Add("framed_mrows_per_s", framed_rate);
-      json.Add("direct_mrows_per_s", direct_rate);
+      json.Add("framed_mrows_per_s", framed);
+      json.Add("direct_mrows_per_s", direct);
     }
   }
 
@@ -163,30 +180,33 @@ bool Run(int argc, char** argv) {
   cases.push_back({"groupby_dim0", "query_groupby",
                    [&] { return client.QueryGroupBy(0).has_value(); }});
 
-  std::printf("\n%-14s %14s %14s %8s %8s %8s\n", "query", "round_trips_s",
-              "us_per_query", "p50_us", "p95_us", "p99_us");
+  std::printf("\n%-14s %26s %14s %8s %8s %8s\n", "query",
+              "round_trips/s (min-max)", "us_per_query", "p50_us", "p95_us",
+              "p99_us");
   bool ok = true;
   for (const QueryCase& c : cases) {
     c.run();  // warm the merged snapshot cache
     const obs::HistogramSnapshot before = LatencySnapshot(c.opcode);
-    auto start = Clock::now();
-    for (int64_t i = 0; i < query_iters; ++i) {
-      if (!c.run()) {
-        std::fprintf(stderr, "%s: round trip failed\n", c.name);
-        ok = false;
-        break;
+    const Spread qps = Repeat([&] {
+      auto start = Clock::now();
+      for (int64_t i = 0; i < query_iters; ++i) {
+        if (!c.run()) {
+          std::fprintf(stderr, "%s: round trip failed\n", c.name);
+          ok = false;
+          break;
+        }
       }
-    }
-    double elapsed = SecondsSince(start);
-    double qps = static_cast<double>(query_iters) / elapsed;
-    // Server-side handler latency for just this loop's requests — the
-    // gap against us_per_query (wall clock) is framing + transport.
+      return static_cast<double>(query_iters) / SecondsSince(start);
+    });
+    // Server-side handler latency over every timed request of this case —
+    // the gap against us_per_query (wall clock) is framing + transport.
     const obs::HistogramSnapshot lat = LatencySnapshot(c.opcode).Since(before);
     const double p50 = lat.Percentile(50);
     const double p95 = lat.Percentile(95);
     const double p99 = lat.Percentile(99);
-    std::printf("%-14s %14.0f %14.2f %8.1f %8.1f %8.1f\n", c.name, qps,
-                1e6 / qps, p50, p95, p99);
+    std::printf("%-14s %8.0f (%7.0f-%7.0f) %14.2f %8.1f %8.1f %8.1f\n",
+                c.name, qps.median, qps.min, qps.max, 1e6 / qps.median, p50,
+                p95, p99);
     if (json.enabled()) {
       json.BeginRecord("query");
       json.Add("query", std::string(c.name));
@@ -204,20 +224,22 @@ bool Run(int argc, char** argv) {
   // "on" adds the buffered span tree and the publish into the recent
   // ring — the gap is the price of --trace-sample=1.
   struct TraceCost {
-    double qps;
+    Spread qps;
     double p99;
   };
   auto measure_trace = [&]() -> TraceCost {
     client.QuerySum();  // warm the merged snapshot cache
     const obs::HistogramSnapshot before = LatencySnapshot("query_sum");
-    auto t0 = Clock::now();
-    for (int64_t i = 0; i < query_iters; ++i) {
-      if (!client.QuerySum().has_value()) break;
-    }
-    const double elapsed = SecondsSince(t0);
+    const Spread qps = Repeat([&] {
+      auto t0 = Clock::now();
+      for (int64_t i = 0; i < query_iters; ++i) {
+        if (!client.QuerySum().has_value()) break;
+      }
+      return static_cast<double>(query_iters) / SecondsSince(t0);
+    });
     const obs::HistogramSnapshot lat =
         LatencySnapshot("query_sum").Since(before);
-    return {static_cast<double>(query_iters) / elapsed, lat.Percentile(99)};
+    return {qps, lat.Percentile(99)};
   };
   obs::TraceCollector::Global().Configure({/*sample_every=*/0,
                                            /*slow_request_us=*/0});
@@ -228,9 +250,11 @@ bool Run(int argc, char** argv) {
   obs::TraceCollector::Global().Configure({/*sample_every=*/0,
                                            /*slow_request_us=*/0});
   std::printf(
-      "\ntrace capture: off %.0f rt/s (p99 %.1f us) -> every-request "
-      "%.0f rt/s (p99 %.1f us)\n",
-      trace_off.qps, trace_off.p99, trace_on.qps, trace_on.p99);
+      "\ntrace capture: off %.0f (%.0f-%.0f) rt/s (p99 %.1f us) -> "
+      "every-request %.0f (%.0f-%.0f) rt/s (p99 %.1f us)\n",
+      trace_off.qps.median, trace_off.qps.min, trace_off.qps.max,
+      trace_off.p99, trace_on.qps.median, trace_on.qps.min,
+      trace_on.qps.max, trace_on.p99);
   if (json.enabled()) {
     json.BeginRecord("trace_overhead");
     json.Add("qps_off", trace_off.qps);

@@ -11,15 +11,17 @@
 //   * shard_scaling  — ShardedSketch ingest throughput vs shard count
 //                      (bounded by hardware_concurrency, recorded in the
 //                      output's machine record for interpretation);
-//   * micro          — per-sketch single-row update costs, merge cost,
-//                      and query cost;
+//                      median and min-max over kSpreadReps runs;
+//   * micro          — per-sketch single-row update costs (the Unbiased
+//                      Space Saving rows as median and min-max over
+//                      kSpreadReps runs), merge cost, and query cost;
 //   * shard_merge_us — one MergeShards of two hash-partitioned 4096-bin
 //                      shards into 4096 bins (the merge behind every
 //                      fresh served query), Zipf 1.1 over 1M items;
 //                      median and min-max over kShardMergeReps merges.
 //
-// Flags: --rows=N stream length, --reps=N repetitions (max is reported),
-// --json=PATH writes machine-readable baselines (recorded as
+// Flags: --rows=N stream length, --reps=N repetitions of the best-of rows
+// (max is reported), --json=PATH writes machine-readable baselines (recorded as
 // BENCH_throughput.json by bench/record_baselines.sh). The
 // multi-million-bin configurations run by default (they are where the
 // batch pipeline pays off); pass --full=0 --rows=2000000 --reps=1 for a
@@ -83,6 +85,21 @@ double BestMrows(size_t rows, int reps, Fn&& fn) {
   return best;
 }
 
+// Runs behind each median-and-range row.
+constexpr int kSpreadReps = 7;
+
+// Median and range of rows/s (in millions) over kSpreadReps runs of `fn`.
+template <typename Fn>
+bench::Spread SpreadMrows(size_t rows, Fn&& fn) {
+  std::vector<double> mrows;
+  for (int r = 0; r < kSpreadReps; ++r) {
+    auto t0 = Clock::now();
+    fn();
+    mrows.push_back(static_cast<double>(rows) / Seconds(t0) / 1e6);
+  }
+  return bench::SpreadOf(std::move(mrows));
+}
+
 struct Workload {
   const char* name;
   std::vector<uint64_t> rows;
@@ -143,17 +160,18 @@ void BatchSizeSweep(const Workload& w, size_t m, int reps,
   }
 }
 
-void ShardScalingSweep(const Workload& w, size_t shard_capacity, int reps,
+void ShardScalingSweep(const Workload& w, size_t shard_capacity,
                        bench::JsonSink& sink) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
       "\n-- shard_scaling: ShardedSketch ingest (%s, %u hardware threads;\n"
       "   scaling is bounded by the hardware thread count) --\n",
       w.name, hw);
-  std::printf("%-8s %12s %10s\n", "shards", "Mrows/s", "vs 1shard");
+  std::printf("%-8s %12s %17s %10s\n", "shards", "median Mr/s",
+              "(min-max)", "vs 1shard");
   double base = 0;
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    double mrows = BestMrows(w.rows.size(), reps, [&] {
+    const bench::Spread mrows = SpreadMrows(w.rows.size(), [&] {
       ShardedSketchOptions opt;
       opt.num_shards = shards;
       opt.shard_capacity = shard_capacity;
@@ -168,15 +186,17 @@ void ShardScalingSweep(const Workload& w, size_t shard_capacity, int reps,
       }
       sharded.Flush();
     });
-    if (shards == 1) base = mrows;
-    std::printf("%-8zu %12.1f %9.2fx\n", shards, mrows, mrows / base);
+    if (shards == 1) base = mrows.median;
+    std::printf("%-8zu %12.1f  (%6.1f-%6.1f) %9.2fx\n", shards, mrows.median,
+                mrows.min, mrows.max, mrows.median / base);
     if (sink.enabled()) {
       sink.BeginRecord("shard_scaling");
       sink.Add("workload", w.name);
       sink.Add("shards", static_cast<int64_t>(shards));
       sink.Add("shard_capacity", static_cast<int64_t>(shard_capacity));
+      sink.Add("reps", static_cast<int64_t>(kSpreadReps));
       sink.Add("mrows", mrows);
-      sink.Add("scaling_vs_1shard", mrows / base);
+      sink.Add("scaling_vs_1shard", mrows.median / base);
     }
   }
 }
@@ -195,10 +215,19 @@ void MicroBenches(const Workload& w, int reps, bench::JsonSink& sink) {
   };
   const std::vector<uint64_t>& rows = w.rows;
   for (size_t m : {size_t{100}, size_t{1000}, size_t{10000}}) {
-    report("unbiased_update", m, BestMrows(rows.size(), reps, [&] {
-             UnbiasedSpaceSaving s(m, 2);
-             for (uint64_t x : rows) s.Update(x);
-           }));
+    const bench::Spread mrows = SpreadMrows(rows.size(), [&] {
+      UnbiasedSpaceSaving s(m, 2);
+      for (uint64_t x : rows) s.Update(x);
+    });
+    std::printf("%-24s %-8zu %12.1f  (%.1f-%.1f, median)\n",
+                "unbiased_update", m, mrows.median, mrows.min, mrows.max);
+    if (sink.enabled()) {
+      sink.BeginRecord("micro");
+      sink.Add("name", "unbiased_update");
+      sink.Add("m", static_cast<int64_t>(m));
+      sink.Add("reps", static_cast<int64_t>(kSpreadReps));
+      sink.Add("mrows", mrows);
+    }
   }
   report("deterministic_update", 1000, BestMrows(rows.size(), reps, [&] {
            DeterministicSpaceSaving s(1000, 3);
@@ -311,12 +340,11 @@ void ShardMergeBench(bench::JsonSink& sink) {
     us[static_cast<size_t>(r)] = Seconds(t0) * 1e6;
     if (merged.TotalCount() != static_cast<int64_t>(kRows)) std::abort();
   }
-  std::sort(us.begin(), us.end());
-  const double median = us[us.size() / 2];
+  const bench::Spread spread = bench::SpreadOf(us);
   std::printf("\n-- shard_merge: MergeShards %zu x %zu -> %zu bins --\n",
               kShards, kBins, kBins);
   std::printf("%-24s %10.1f us  (min %.1f, max %.1f, %d merges)\n",
-              "shard_merge_us", median, us.front(), us.back(),
+              "shard_merge_us", spread.median, spread.min, spread.max,
               kShardMergeReps);
   if (sink.enabled()) {
     sink.BeginRecord("micro");
@@ -324,9 +352,9 @@ void ShardMergeBench(bench::JsonSink& sink) {
     sink.Add("shards", static_cast<int64_t>(kShards));
     sink.Add("m", static_cast<int64_t>(kBins));
     sink.Add("reps", static_cast<int64_t>(kShardMergeReps));
-    sink.Add("median_us", median);
-    sink.Add("min_us", us.front());
-    sink.Add("max_us", us.back());
+    sink.Add("median_us", spread.median);
+    sink.Add("min_us", spread.min);
+    sink.Add("max_us", spread.max);
   }
 }
 
@@ -418,7 +446,7 @@ int main(int argc, char** argv) {
 
   RowVsBatchSweep(workloads, sizes, reps, sink);
   BatchSizeSweep(workloads[0], full ? 4000000 : 1000000, reps, sink);
-  ShardScalingSweep(workloads[0], 262144, reps, sink);
+  ShardScalingSweep(workloads[0], 262144, sink);
   MicroBenches(workloads[1], reps, sink);
   ShardMergeBench(sink);
 

@@ -7,6 +7,7 @@
 #ifndef DSKETCH_BENCH_BENCH_UTIL_H_
 #define DSKETCH_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -63,6 +64,22 @@ inline std::string FlagString(int argc, char** argv, const char* name,
   return def;
 }
 
+/// Median and min-max range of repeated measurements.
+struct Spread {
+  double median;
+  double min;
+  double max;
+};
+
+/// The spread of `v` (non-empty); an even count's median is the mean of
+/// the middle two.
+inline Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return {n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2, v.front(),
+          v.back()};
+}
+
 /// Collects bench records and, when --json=<path> was passed, writes them
 /// as {"bench": ..., "records": [{...}, ...]} on Flush/destruction.
 /// Values are numbers or strings; records are flat key/value objects with
@@ -101,6 +118,13 @@ class JsonSink {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", value);
     records_.back().emplace_back(key, buf);
+  }
+
+  /// Adds a spread as `key` (the median), `key`_min and `key`_max.
+  void Add(const std::string& key, const Spread& s) {
+    Add(key, s.median);
+    Add(key + "_min", s.min);
+    Add(key + "_max", s.max);
   }
 
   /// Adds an integer field to the current record.

@@ -12,12 +12,6 @@ SpaceSavingCore::SpaceSavingCore(size_t capacity, LabelPolicy policy,
     : policy_(policy),
       tie_break_(tie_break),
       index_(capacity),
-      // Sized for the number of *distinct count values*, which stays far
-      // below capacity for realistic (skewed) streams; the map grows on
-      // demand. Pre-sizing to `capacity` would spread a handful of hot
-      // entries over megabytes and turn every range lookup into a cache
-      // miss at production sketch sizes.
-      ranges_(64),
       rng_(seed) {
   DSKETCH_CHECK(capacity > 0);
   // Slot positions are uint32; index table positions (2x the bin count,
@@ -26,7 +20,11 @@ SpaceSavingCore::SpaceSavingCore(size_t capacity, LabelPolicy policy,
   DSKETCH_CHECK(capacity <= (1ULL << 30));
   slots_.assign(capacity, Slot{kNoLabel, 0});
   index_pos_.assign(capacity, kNoIndex);
-  ranges_.InsertOrAssign(0, Range{0, static_cast<uint32_t>(capacity)});
+  // One range per *distinct count value*, which stays far below capacity
+  // for realistic (skewed) streams; the pool grows on demand. Pre-sizing
+  // it to `capacity` would cost memory that almost never holds a range.
+  rid_.assign(capacity, 0);
+  pool_.push_back(Range{0, static_cast<uint32_t>(capacity)});
   min_range_end_ = static_cast<uint32_t>(capacity);
 }
 
@@ -50,33 +48,50 @@ void SpaceSavingCore::SwapSlots(uint32_t a, uint32_t b) {
 
 uint32_t SpaceSavingCore::IncrementSlot(uint32_t i) {
   const int64_t c = slots_[i].count;
-  Range* r = ranges_.Find(static_cast<uint64_t>(c));
-  DSKETCH_DCHECK(r != nullptr && r->begin <= i && i < r->end);
-  const uint32_t last = r->end - 1;
+  const uint32_t id = rid_[i];
+  Range& r = pool_[id];
+  DSKETCH_DCHECK(r.begin <= i && i < r.end);
+  const uint32_t last = r.end - 1;
   // The range with begin == 0 is the minimum-count range (ranges partition
   // the slot array in ascending count order).
-  const bool was_min = r->begin == 0;
+  const bool was_min = r.begin == 0;
   SwapSlots(i, last);
   slots_[last].count = c + 1;
 
-  if (r->begin == last) {
-    ranges_.Erase(static_cast<uint64_t>(c));
-  } else {
-    r->end = last;
+  // For the same reason the c+1 range, if any, starts right above `last`.
+  const uint32_t above = last + 1;
+  const bool join_up = above < slots_.size() && slots_[above].count == c + 1;
+  const bool emptied = r.begin == last;
+  if (!emptied) {
+    r.end = last;  // before NewRange, which may move the pool
     if (was_min) min_range_end_ = last;
   }
-  Range* up = ranges_.Find(static_cast<uint64_t>(c + 1));
-  if (up != nullptr) {
-    DSKETCH_DCHECK(up->begin == last + 1);
-    up->begin = last;
-    if (was_min && last == 0) min_range_end_ = up->end;
-  } else {
-    ranges_.InsertOrAssign(static_cast<uint64_t>(c + 1),
-                           Range{last, last + 1});
-    if (was_min && last == 0) min_range_end_ = last + 1;
+  if (join_up) {
+    const uint32_t up = rid_[above];
+    pool_[up].begin = last;
+    rid_[last] = up;
+    if (emptied) {
+      free_ids_.push_back(id);
+      if (was_min) min_range_end_ = pool_[up].end;
+    }
+  } else if (!emptied) {
+    rid_[last] = NewRange(last, above);
   }
+  // An emptied c range with no c+1 range simply becomes it: same id, same
+  // [last, last + 1), and min_range_end_ already fits.
   ++total_;
   return last;
+}
+
+uint32_t SpaceSavingCore::NewRange(uint32_t begin, uint32_t end) {
+  if (free_ids_.empty()) {
+    pool_.push_back(Range{begin, end});
+    return static_cast<uint32_t>(pool_.size() - 1);
+  }
+  const uint32_t id = free_ids_.back();
+  free_ids_.pop_back();
+  pool_[id] = Range{begin, end};
+  return id;
 }
 
 void SpaceSavingCore::Update(uint64_t item) {
@@ -113,8 +128,8 @@ void SpaceSavingCore::PipelinedUpdateBatch(Span<const uint64_t> items) {
   // Software-pipelined version of per-row Update, bit-for-bit identical
   // (the mutation and RNG order is unchanged; only *reads* are hoisted).
   // Row i + 2D gets its key mixed and its index probe line prefetched;
-  // row i + D is looked up (probe line now hot) and its slot line
-  // prefetched; row i is applied. A looked-up position can be stale by
+  // row i + D is looked up (probe line now hot) and its slot and range-id
+  // lines prefetched; row i is applied. A looked-up position can be stale by
   // apply time — the sketch mutates in between — so each verdict is
   // re-validated cheaply:
   //   * "tracked at pos": valid iff slots_[pos].item still == item (label
@@ -160,7 +175,7 @@ void SpaceSavingCore::PipelinedUpdateBatch(Span<const uint64_t> items) {
       hashes[(i + kRing) % kRing] = h;
       index_.Prefetch(h);
     }
-    if (i + kDist < n) {  // stage 2: index lookup + prefetch slot line
+    if (i + kDist < n) {  // stage 2: index lookup + prefetch slot, range id
       const size_t j = i + kDist;
       const uint64_t item = data[j];
       const uint64_t h = j < kRing ? FlatMap<uint32_t>::MixedHash(item)
@@ -172,6 +187,7 @@ void SpaceSavingCore::PipelinedUpdateBatch(Span<const uint64_t> items) {
       if (pos != nullptr) {
         lk.pos = *pos;
         DSKETCH_PREFETCH(&slots_[lk.pos]);
+        DSKETCH_PREFETCH(&rid_[lk.pos]);
       } else {
         lk.pos = kNotFound;
         // Every untracked apply swaps its minimum bin with the last slot
@@ -237,6 +253,7 @@ void SpaceSavingCore::PipelinedUpdateBatch(Span<const uint64_t> items) {
         if (nx.pos != kNotFound) break;  // tracked: consumes no draws
         const uint32_t pick = static_cast<uint32_t>(peek.NextBounded(end));
         DSKETCH_PREFETCH(&slots_[pick]);
+        DSKETCH_PREFETCH(&rid_[pick]);
         guess[(i + d) % kRing] = pick;
         if (policy_ == LabelPolicy::kUnbiased && min_count > 0) {
           peek.NextDouble();  // the adoption draw, to stay aligned
@@ -260,10 +277,8 @@ bool SpaceSavingCore::ApplyUntracked(uint64_t item, uint64_t hash) {
   // Pick a minimum-count bin. The minimum range is always
   // [0, min_range_end_) — maintained by IncrementSlot, no lookup needed.
   const int64_t min_count = slots_.front().count;
-  DSKETCH_DCHECK([&] {
-    const Range* mr = ranges_.Find(static_cast<uint64_t>(min_count));
-    return mr != nullptr && mr->begin == 0 && mr->end == min_range_end_;
-  }());
+  DSKETCH_DCHECK(pool_[rid_[0]].begin == 0 &&
+                 pool_[rid_[0]].end == min_range_end_);
   uint32_t k;
   if (tie_break_ == TieBreak::kRandom && min_range_end_ > 1) {
     k = static_cast<uint32_t>(rng_.NextBounded(min_range_end_));
@@ -318,7 +333,8 @@ std::vector<SketchEntry> SpaceSavingCore::Entries() const {
 void SpaceSavingCore::LoadEntries(std::vector<SketchEntry> entries) {
   DSKETCH_CHECK(entries.size() <= slots_.size());
   index_.Clear();
-  ranges_.Clear();
+  pool_.clear();
+  free_ids_.clear();
   total_ = 0;
 
   // Ascending by count with a deterministic tie-break (descending item,
@@ -346,13 +362,14 @@ void SpaceSavingCore::LoadEntries(std::vector<SketchEntry> entries) {
             static_cast<uint32_t>(pad + i)));
   }
 
-  // Rebuild the count -> range map over the now-sorted slot array.
+  // Rebuild the count ranges and their ids over the now-sorted slots.
   size_t begin = 0;
   for (size_t i = 1; i <= slots_.size(); ++i) {
     if (i == slots_.size() || slots_[i].count != slots_[begin].count) {
-      ranges_.InsertOrAssign(static_cast<uint64_t>(slots_[begin].count),
-                             Range{static_cast<uint32_t>(begin),
-                                   static_cast<uint32_t>(i)});
+      const uint32_t id = static_cast<uint32_t>(pool_.size());
+      pool_.push_back(
+          Range{static_cast<uint32_t>(begin), static_cast<uint32_t>(i)});
+      for (size_t j = begin; j < i; ++j) rid_[j] = id;
       if (begin == 0) min_range_end_ = static_cast<uint32_t>(i);
       begin = i;
     }

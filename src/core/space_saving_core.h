@@ -11,12 +11,15 @@
 //
 // Everything is O(1) per update. Instead of the linked-list "stream
 // summary" structure of Metwally et al., bins live in an array kept sorted
-// by count, with a hash map from each distinct count value to its
-// contiguous [begin, end) slot range. Incrementing a bin swaps it to the
-// end of its count range and extends the next range — an equivalent
-// formulation that is cache-friendlier and, importantly here, supports
-// uniform-random selection among minimum bins in O(1) (the paper's
-// analysis assumes random tie-breaking, §6.1).
+// by count, partitioned into one contiguous [begin, end) slot range per
+// distinct count. As in the stream summary, each bin points straight at
+// its count range: every slot position carries the id of its range in a
+// small pool, so the update path does no hash lookup to find it.
+// Incrementing a bin swaps it to the end of its count range c and moves
+// it into range c + 1, which starts right above it when it exists (else
+// the bin opens it) — an equivalent formulation that is cache-friendlier
+// and, importantly here, supports uniform-random selection among minimum
+// bins in O(1) (the paper's analysis assumes random tie-breaking, §6.1).
 
 #ifndef DSKETCH_CORE_SPACE_SAVING_CORE_H_
 #define DSKETCH_CORE_SPACE_SAVING_CORE_H_
@@ -135,9 +138,13 @@ class SpaceSavingCore {
   bool ApplyUntracked(uint64_t item, uint64_t hash);
 
   // Moves slot `i` (count c) to the top of its count range and bumps it to
-  // c+1, fixing the range map (and the cached min-range end); returns the
-  // slot's final position.
+  // c+1, moving it into the c+1 range (and fixing the cached min-range
+  // end); returns the slot's final position.
   uint32_t IncrementSlot(uint32_t i);
+
+  // A range id for a new count range: a retired one, else a fresh one.
+  // May grow pool_, so no Range& may be held across it.
+  uint32_t NewRange(uint32_t begin, uint32_t end);
 
   void SwapSlots(uint32_t a, uint32_t b);
 
@@ -154,7 +161,13 @@ class SpaceSavingCore {
   // positions only move on erases — which report every backward-shift
   // relocation through EraseAtPos's hook, fixing this array in O(1).
   MmapArray<uint32_t> index_pos_;
-  FlatMap<Range> ranges_;         // count value -> slot range
+  // Count ranges by id. rid_[i] is the id of slot i's range; ids are per
+  // position, so SwapSlots within a range leaves them alone. The pool
+  // holds one live entry per distinct count (it grows on demand, and an
+  // emptied range's id is reused), far below capacity for skewed streams.
+  MmapArray<uint32_t> rid_;
+  std::vector<Range> pool_;
+  std::vector<uint32_t> free_ids_;  // retired pool_ ids
   // End of the minimum count range (its begin is always 0). Maintained
   // incrementally by IncrementSlot/LoadEntries so the untracked-item path
   // needs no range lookup to tie-break among minimum bins.
