@@ -11,7 +11,16 @@
 //     window merge. The pre-subsystem hand-merged construction
 //     (per-epoch sketches + MergeAll) runs alongside as a cross-check —
 //     with the ring's seed schedule the two are estimate-identical, and
-//     the bench aborts loudly if they ever diverge.
+//     the bench aborts loudly if they ever diverge. The window_rrmse
+//     column reads ~0 by construction, not by accident: the merge's
+//     pairwise reduction collapses bins in canonical (count, item)
+//     order, and on this sorted stream item ids ascend with the epoch
+//     while the early epochs' bins all tie on count. So the collapses
+//     pair neighbouring labels of one epoch (each keeps that epoch's
+//     mass exactly), older epochs first, and only the few pairs that
+//     straddle an epoch boundary move mass between epochs — the newest
+//     epoch's sum comes through the window merge intact until its
+//     counts grow apart (epochs 9–10).
 //   * bursty / all-distinct — the remaining §6.3 pathological arrival
 //     patterns: periodic bursts of one hot item separated by runs of
 //     fresh distinct items, and the pure all-distinct stream. Scored as

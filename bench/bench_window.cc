@@ -5,8 +5,9 @@
 //   * ingest throughput — epoch-stamped rows streamed through
 //     UpdateBatch with row-count auto-advance (the hot path);
 //   * advance cost — closing an epoch, with and without the decayed
-//     accumulator fold (the fold batches closed epochs, so decay mode
-//     amortizes the weighted merge across ring growth);
+//     accumulator (decay mode adds the closed epoch's entries to the
+//     forward-decay accumulator at their forward weight; an empty epoch
+//     adds nothing);
 //   * window-query latency, cached vs uncached — QueryWindow (the
 //     hierarchical merge cache: O(log W) cached partials per query)
 //     against QueryWindowUncached (the from-scratch W-way pairwise
@@ -34,10 +35,13 @@
 // against the big-ring query cliff regressing — or unless the fleet's
 // refreshed ring serializes to the same bytes as a fresh source's full
 // merge of the same rows, or a fleet view differs from the merged
-// ring's uncached window at k in {1, 8, 0}.
+// ring's uncached window at k in {1, 8, 0}. Every run also fails if a
+// decay-on ring's QueryDecayed() total strays more than 1e-9 (relative)
+// from the analytic decayed mass of the rows it saw.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -274,6 +278,27 @@ int Run(int argc, char** argv) {
       for (int i = 0; i < kAdvances; ++i) sketch.Advance();
       const double advance_s = SecondsSince(start);
 
+      // Decayed mass is preserved exactly by the accumulator: epoch e's
+      // rows count 2^-(T - e)/half_life as of the open epoch T.
+      if (decay == 1) {
+        const double T = static_cast<double>(sketch.CurrentEpoch());
+        double truth = 0.0;
+        for (size_t e = 0; e * opt.rows_per_epoch < stream.size(); ++e) {
+          const size_t in_epoch = std::min<size_t>(
+              opt.rows_per_epoch, stream.size() - e * opt.rows_per_epoch);
+          truth += static_cast<double>(in_epoch) *
+                   std::exp2(-(T - static_cast<double>(e)) /
+                             opt.half_life_epochs);
+        }
+        const double total = sketch.QueryDecayed().TotalWeight();
+        if (!(std::fabs(total - truth) <= 1e-9 * truth)) {
+          std::printf(
+              "FAIL: decayed total %.17g != analytic %.17g at W=%lld\n",
+              total, truth, static_cast<long long>(W));
+          ++failures;
+        }
+      }
+
       // The first cached query of each last_k is cold: it builds the
       // merge-tree nodes the later ones reuse (at W=256 it costs over ten
       // warm queries), so it is timed on its own and the warm mean leaves
@@ -374,11 +399,11 @@ int Run(int argc, char** argv) {
 
   std::printf(
       "\n(ingest pays the flat UpdateBatch cost plus one ring rotation per\n"
-      " epoch; decay folds closed epochs in batches. Cached queries\n"
-      " assemble O(log W) merge-tree partials; the q_*_us columns are warm\n"
-      " means, without each last_k's first, cold query (--json records it\n"
-      " as query_*_cold_us); q_full_raw_us is the from-scratch W-way\n"
-      " re-merge the cache replaces)\n");
+      " epoch; decay adds each closed epoch to the accumulator. Cached\n"
+      " queries assemble O(log W) merge-tree partials; the q_*_us columns\n"
+      " are warm means, without each last_k's first, cold query (--json\n"
+      " records it as query_*_cold_us); q_full_raw_us is the from-scratch\n"
+      " W-way re-merge the cache replaces)\n");
 
   failures += FleetBench(stream, smoke, json);
   if (smoke) {

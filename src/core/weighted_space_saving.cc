@@ -9,27 +9,29 @@ namespace dsketch {
 WeightedSpaceSaving::WeightedSpaceSaving(size_t capacity, uint64_t seed)
     : capacity_(capacity), index_(capacity), rng_(seed) {
   DSKETCH_CHECK(capacity > 0);
-  heap_.reserve(capacity + 1);
+  heap_.reserve(capacity);
+  items_.reserve(capacity);
+  pos_.reserve(capacity);
 }
 
-void WeightedSpaceSaving::SetSlot(size_t i, WeightedEntry e) {
-  heap_[i] = e;
-  index_.InsertOrAssign(e.item, static_cast<uint32_t>(i));
+void WeightedSpaceSaving::Place(size_t i, HeapNode node) {
+  heap_[i] = node;
+  pos_[node.id] = static_cast<uint32_t>(i);
 }
 
 void WeightedSpaceSaving::SiftUp(size_t i) {
-  WeightedEntry e = heap_[i];
+  HeapNode node = heap_[i];
   while (i > 0) {
     size_t parent = (i - 1) / 2;
-    if (heap_[parent].weight <= e.weight) break;
-    SetSlot(i, heap_[parent]);
+    if (heap_[parent].weight <= node.weight) break;
+    Place(i, heap_[parent]);
     i = parent;
   }
-  SetSlot(i, e);
+  Place(i, node);
 }
 
 void WeightedSpaceSaving::SiftDown(size_t i) {
-  WeightedEntry e = heap_[i];
+  HeapNode node = heap_[i];
   const size_t n = heap_.size();
   while (true) {
     size_t child = 2 * i + 1;
@@ -37,11 +39,11 @@ void WeightedSpaceSaving::SiftDown(size_t i) {
     if (child + 1 < n && heap_[child + 1].weight < heap_[child].weight) {
       ++child;
     }
-    if (heap_[child].weight >= e.weight) break;
-    SetSlot(i, heap_[child]);
+    if (heap_[child].weight >= node.weight) break;
+    Place(i, heap_[child]);
     i = child;
   }
-  SetSlot(i, e);
+  Place(i, node);
 }
 
 void WeightedSpaceSaving::Update(uint64_t item, double weight) {
@@ -107,14 +109,19 @@ void WeightedSpaceSaving::UpdateHashed(uint64_t item, uint64_t hash,
   DSKETCH_CHECK(weight > 0.0);
   total_ += weight;
 
-  if (uint32_t* pos = index_.FindHashed(item, hash)) {
-    heap_[*pos].weight += weight;
-    SiftDown(*pos);
+  if (const uint32_t* id = index_.FindHashed(item, hash)) {
+    const size_t i = pos_[*id];
+    heap_[i].weight += weight;
+    SiftDown(i);
     return;
   }
   if (heap_.size() < capacity_) {
-    heap_.push_back({item, weight});
-    SetSlot(heap_.size() - 1, {item, weight});
+    // Bin ids are handed out in fill order: id == its first position.
+    const uint32_t id = static_cast<uint32_t>(heap_.size());
+    items_.push_back(item);
+    pos_.push_back(id);
+    index_.InsertOrAssignHashed(item, hash, id);
+    heap_.push_back({weight, id});
     SiftUp(heap_.size() - 1);
     return;
   }
@@ -123,48 +130,62 @@ void WeightedSpaceSaving::UpdateHashed(uint64_t item, uint64_t hash,
   // two smallest of the m+1 bins (Theorem 2 reduction). The smallest is
   // the heap root; the second smallest is the smaller of the root's
   // children and the incoming bin.
-  WeightedEntry incoming{item, weight};
   size_t second = 0;  // index of the second-smallest *heap* bin
   if (heap_.size() > 1) {
     second = 1;
     if (heap_.size() > 2 && heap_[2].weight < heap_[1].weight) second = 2;
   }
 
-  auto pps_winner = [this](const WeightedEntry& lo, const WeightedEntry& hi,
+  // Keeps hi's label with probability hi_weight / combined.
+  auto pps_winner = [this](uint64_t lo, uint64_t hi, double hi_weight,
                            double combined) -> uint64_t {
-    // Keep hi's label with probability hi.weight / combined.
-    return rng_.NextDouble() * combined < hi.weight ? hi.item : lo.item;
+    return rng_.NextDouble() * combined < hi_weight ? hi : lo;
   };
 
-  if (second == 0 || incoming.weight <= heap_[second].weight) {
-    // Collapse root with the incoming bin.
-    WeightedEntry root = heap_[0];
-    const WeightedEntry& lo = incoming.weight < root.weight ? incoming : root;
-    const WeightedEntry& hi = incoming.weight < root.weight ? root : incoming;
-    double combined = lo.weight + hi.weight;
-    uint64_t winner = pps_winner(lo, hi, combined);
-    index_.Erase(root.item);
-    SetSlot(0, {winner, combined});
+  const HeapNode root = heap_[0];
+  const uint64_t root_item = items_[root.id];
+  if (second == 0 || weight <= heap_[second].weight) {
+    // Collapse root with the incoming bin; the root's bin takes the
+    // winning label (its index entry moves only if the row wins).
+    const bool incoming_lower = weight < root.weight;
+    const double combined = root.weight + weight;
+    const uint64_t winner =
+        incoming_lower
+            ? pps_winner(item, root_item, root.weight, combined)
+            : pps_winner(root_item, item, weight, combined);
+    if (winner != root_item) {
+      index_.Erase(root_item);
+      items_[root.id] = item;
+      index_.InsertOrAssignHashed(item, hash, root.id);
+    }
+    heap_[0].weight = combined;
     SiftDown(0);
   } else {
-    // Collapse root with its smaller child; the freed slot takes the
-    // incoming bin unchanged.
-    WeightedEntry root = heap_[0];
-    WeightedEntry next = heap_[second];
-    double combined = root.weight + next.weight;
-    uint64_t winner = pps_winner(root, next, combined);
-    index_.Erase(root.item);
-    index_.Erase(next.item);
-    SetSlot(second, incoming);
+    // Collapse root with its smaller child; the freed bin takes the
+    // incoming row unchanged.
+    const HeapNode next = heap_[second];
+    const uint64_t next_item = items_[next.id];
+    const double combined = root.weight + next.weight;
+    const uint64_t winner =
+        pps_winner(root_item, next_item, next.weight, combined);
+    // The root's bin keeps the winner, the freed one takes the row.
+    index_.Erase(winner == root_item ? next_item : root_item);
+    if (winner != root_item) {
+      items_[root.id] = winner;
+      index_.InsertOrAssign(winner, root.id);
+    }
+    items_[next.id] = item;
+    index_.InsertOrAssignHashed(item, hash, next.id);
+    heap_[second].weight = weight;
     SiftDown(second);
-    SetSlot(0, {winner, combined});
+    heap_[0].weight = combined;
     SiftDown(0);
   }
 }
 
 double WeightedSpaceSaving::EstimateWeight(uint64_t item) const {
-  const uint32_t* pos = index_.Find(item);
-  return pos != nullptr ? heap_[*pos].weight : 0.0;
+  const uint32_t* id = index_.Find(item);
+  return id != nullptr ? heap_[pos_[*id]].weight : 0.0;
 }
 
 double WeightedSpaceSaving::MinWeight() const {
@@ -173,7 +194,11 @@ double WeightedSpaceSaving::MinWeight() const {
 }
 
 std::vector<WeightedEntry> WeightedSpaceSaving::Entries() const {
-  std::vector<WeightedEntry> out = heap_;
+  std::vector<WeightedEntry> out;
+  out.reserve(heap_.size());
+  for (const HeapNode& node : heap_) {
+    out.push_back({items_[node.id], node.weight});
+  }
   std::sort(out.begin(), out.end(),
             [](const WeightedEntry& a, const WeightedEntry& b) {
               return a.weight > b.weight;
@@ -183,7 +208,7 @@ std::vector<WeightedEntry> WeightedSpaceSaving::Entries() const {
 
 void WeightedSpaceSaving::Scale(double factor) {
   DSKETCH_CHECK(factor > 0.0);
-  for (WeightedEntry& e : heap_) e.weight *= factor;
+  for (HeapNode& node : heap_) node.weight *= factor;
   total_ *= factor;
 }
 
@@ -191,22 +216,21 @@ void WeightedSpaceSaving::LoadEntries(
     const std::vector<WeightedEntry>& entries) {
   DSKETCH_CHECK(entries.size() <= capacity_);
   heap_.clear();
+  items_.clear();
+  pos_.clear();
   index_.Clear();
   total_ = 0.0;
   for (const WeightedEntry& e : entries) {
     DSKETCH_CHECK(e.weight >= 0.0);
-    heap_.push_back(e);
+    const uint32_t id = static_cast<uint32_t>(heap_.size());
+    items_.push_back(e.item);
+    pos_.push_back(id);
+    index_.InsertOrAssign(e.item, id);
+    heap_.push_back({e.weight, id});
     total_ += e.weight;
   }
-  // Heapify bottom-up, then record positions.
-  for (size_t i = heap_.size(); i > 0; --i) {
-    size_t idx = i - 1;
-    // SiftDown rewrites positions for the subtree it touches.
-    SiftDown(idx);
-  }
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    index_.InsertOrAssign(heap_[i].item, static_cast<uint32_t>(i));
-  }
+  // Heapify bottom-up; every sift places (and so positions) its bin.
+  for (size_t i = heap_.size(); i > 0; --i) SiftDown(i - 1);
 }
 
 }  // namespace dsketch

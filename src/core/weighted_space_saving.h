@@ -81,14 +81,22 @@ class WeightedSpaceSaving {
   // Update body with the item's index hash precomputed (MixedHash(item)).
   void UpdateHashed(uint64_t item, uint64_t hash, double weight);
 
-  // Min-heap by weight with index tracking for O(log m) weight increases.
+  // Min-heap by weight over bin ids. A bin keeps its id while it moves
+  // through the heap, so a sift step rewrites pos_ (an array), not the
+  // label index; only a relabel touches index_.
+  struct HeapNode {
+    double weight;
+    uint32_t id;
+  };
   void SiftUp(size_t i);
   void SiftDown(size_t i);
-  void SetSlot(size_t i, WeightedEntry e);
+  void Place(size_t i, HeapNode node);
 
   size_t capacity_;
-  std::vector<WeightedEntry> heap_;
-  FlatMap<uint32_t> index_;  // item -> heap position
+  std::vector<HeapNode> heap_;
+  std::vector<uint64_t> items_;  // bin id -> label
+  std::vector<uint32_t> pos_;    // bin id -> heap position
+  FlatMap<uint32_t> index_;      // label -> bin id
   double total_ = 0.0;
   Rng rng_;
 };

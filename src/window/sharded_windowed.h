@@ -10,9 +10,10 @@
 // each shard's ring advances exactly as a single-threaded windowed
 // sketch over its partition would. Snapshot() runs the epoch-aligned
 // MergeShards (windowed_sketch.h): slots merge by absolute epoch id and
-// lagging shards' decayed accumulators are re-aged to the merged open
-// epoch, so the merged ring is epoch-consistent — window and decayed
-// queries answer as one windowed sketch over the whole stream. Since a
+// the shards' forward-decay accumulators merge by lining up their
+// landmarks (a lagging shard's open epoch joins at its own stamp), so
+// the merged ring is epoch-consistent — window and decayed queries
+// answer as one windowed sketch over the whole stream. Since a
 // shard only ever writes at or after its open epoch, its closed slots
 // are final: WindowedSketchSource (query/windowed_source.h) keeps one
 // merged ring and refreshes it from Parts() with MergeShardsFrom, which

@@ -52,10 +52,8 @@ std::string SerializeWindowed(const WindowedSpaceSaving& sketch) {
   }
   writer.PutByte(sketch.decay_enabled() ? 1 : 0);
   if (sketch.decay_enabled()) {
-    // DecayedClosedView (not the raw accumulator): folds any pending
-    // closed epochs so the blob is complete regardless of batch phase.
-    const WeightedSpaceSaving settled = sketch.DecayedClosedView();
-    const std::string blob = Serialize(settled);
+    // The accumulator as of the open epoch, whatever its landmark.
+    const std::string blob = Serialize(sketch.DecayedClosedView());
     writer.PutVarint(blob.size());
     out.append(blob);
   }
@@ -142,7 +140,7 @@ std::optional<WindowedSpaceSaving> DeserializeWindowed(std::string_view bytes,
   opt.rows_per_epoch = rows_per_epoch;
   opt.half_life_epochs = half_life;
   opt.seed = seed;
-  WeightedSpaceSaving decayed(opt.merged_capacity, seed);
+  std::optional<DecayedSpaceSaving> decayed;
   if (has_decayed == 1) {
     uint64_t blob_len;
     if (!reader.ReadVarint(&blob_len) || blob_len > reader.remaining()) {
@@ -157,7 +155,8 @@ std::optional<WindowedSpaceSaving> DeserializeWindowed(std::string_view bytes,
     if (!acc.has_value() || acc->capacity() != merged_capacity) {
       return std::nullopt;
     }
-    decayed = std::move(*acc);
+    // Masses as of the open epoch are a forward frame landmarked there.
+    decayed.emplace(std::move(*acc), half_life, static_cast<double>(newest));
   }
   if (!reader.AtEnd()) return std::nullopt;
   wire::RecordWireDecoded(env->kind, env->version, bytes.size());

@@ -16,6 +16,11 @@
 //       [epoch_id][blob_len][unbiased-space-saving v2 blob]
 //   [u8 has_decayed][if 1: [blob_len][weighted-space-saving v2 blob]]
 //
+// The decayed blob holds the accumulator's masses as of the open epoch,
+// whatever its landmark; the decoder adopts them as a forward frame
+// landmarked there (so blobs of the older, backward-aged accumulator
+// decode unchanged).
+//
 // The embedded blobs reuse the per-kind v2 codecs verbatim (envelope
 // included), so every inner payload inherits their hostile-input
 // hardening; the outer decoder additionally enforces the ring caps

@@ -1,45 +1,8 @@
 #include "window/windowed_sketch.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dsketch {
-
-namespace {
-
-// Decayed accumulator of `shard` re-expressed as of `current` (the
-// merged view's open epoch): the stored mass ages by the epochs the
-// shard lags behind, and the shard's own open epoch — closed from the
-// merged view's perspective when it lags — folds in at its true age.
-// `half_life_epochs` is the merged view's (> 0 when this is called): a
-// shard restored from a non-decayed blob carries half_life 0, and its
-// own value would make the factor exp2(-lag/0) = 0, which Scale
-// CHECK-rejects. A lag whose factor underflows double (trivial with
-// timestamp-valued epochs) drains the shard's mass instead.
-WeightedSpaceSaving AlignDecayed(const WindowedSpaceSaving& shard,
-                                 uint64_t current, double half_life_epochs,
-                                 uint64_t seed) {
-  const WindowedSketchOptions& opt = shard.options();
-  WeightedSpaceSaving acc = shard.DecayedClosedView();
-  const uint64_t lag = current - shard.CurrentEpoch();
-  if (lag == 0) return acc;
-  const double age_factor =
-      std::exp2(-static_cast<double>(lag) / half_life_epochs);
-  if (age_factor <= 0.0) {
-    return WeightedSpaceSaving(opt.merged_capacity, seed);
-  }
-  acc.Scale(age_factor);
-  WeightedSpaceSaving open(opt.merged_capacity, seed);
-  for (const SketchEntry& e : shard.slots().back().sketch.Entries()) {
-    if (e.count > 0) {
-      open.Update(e.item, static_cast<double>(e.count) * age_factor);
-    }
-  }
-  if (open.size() == 0) return acc;
-  return Merge(acc, open, opt.merged_capacity, seed);
-}
-
-}  // namespace
 
 size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
                        uint64_t from, WindowedSpaceSaving& merged) {
@@ -103,15 +66,30 @@ size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
   const size_t remerged = tail.size();
   window_metrics::EpochsRemerged().Inc(remerged);
 
-  WeightedSpaceSaving decayed(opt.merged_capacity, opt.seed);
+  // Decayed state: each shard's accumulator, plus its open epoch when it
+  // lags (closed from the merged view's side), merged by lining up
+  // landmarks. A part restored with another half-life, or none, enters
+  // as its view as of its open epoch.
+  std::optional<DecayedSpaceSaving> decayed;
   if (opt.half_life_epochs > 0.0) {
-    std::vector<WeightedSpaceSaving> aligned;
-    aligned.reserve(shards.size());
+    std::vector<DecayedSpaceSaving> frames;
+    frames.reserve(shards.size());
     for (const WindowedSpaceSaving* s : shards) {
-      aligned.push_back(AlignDecayed(*s, current, opt.half_life_epochs,
-                                     opt.seed + current));
+      const std::optional<DecayedSpaceSaving>& own = s->decayed_accumulator();
+      if (own.has_value() && own->half_life() == opt.half_life_epochs) {
+        frames.push_back(*own);
+      } else {
+        frames.emplace_back(own.has_value()
+                                ? s->DecayedClosedView()
+                                : WeightedSpaceSaving(opt.merged_capacity),
+                            opt.half_life_epochs,
+                            static_cast<double>(s->CurrentEpoch()));
+      }
+      if (s->CurrentEpoch() < current) {
+        WindowedSpaceSaving::AddEpoch(s->slots().back(), frames.back());
+      }
     }
-    decayed = MergeShards(aligned, opt.merged_capacity, opt.seed + current);
+    decayed = MergeDecayed(frames, opt.merged_capacity, opt.seed + current);
   }
 
   merged.ReplaceTail(from, std::move(tail), std::move(decayed),

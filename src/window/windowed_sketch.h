@@ -12,10 +12,11 @@
 // construction, promoted from bench/epoch_common.h's hand-merged form
 // into a library citizen.
 //
-// Decayed mode (half_life_epochs > 0) additionally folds every *closed*
-// epoch into a weighted accumulator whose mass decays by
-// 2^(-age/half_life) per epoch: QueryDecayed() answers exponentially
-// time-decayed subset sums over the entire stream with O(merged
+// Decayed mode (half_life_epochs > 0) additionally adds every *closed*
+// epoch, once, to a forward-decay accumulator (core/DecayedSpaceSaving
+// with epoch stamps as its clock — past 2^53 they round to double):
+// QueryDecayed() answers exponentially time-decayed subset sums over the
+// entire stream, epoch e weighing 2^(-age/half_life), with O(merged
 // capacity) state, complementing the ring's sharp cutoff. Sliding
 // window = "last W epochs count fully, older count zero"; decay =
 // "every epoch counts, geometrically less" — the two standard
@@ -40,8 +41,8 @@
 // below them. QueryWindowUncached keeps the from-scratch path for
 // benchmarks and cross-checks.
 //
-// Determinism: epoch e's sketch is seeded seed + e and the decay folds
-// are seeded from seed + the epoch they fold at, so a fixed (seed,
+// Determinism: epoch e's sketch is seeded seed + e and the accumulator
+// is seeded seed and takes the closed epochs in order, so a fixed (seed,
 // stream, epoch stamps) triple reproduces the ring, the accumulator,
 // and every window merge bit-for-bit. Cached and uncached queries are
 // bit-identical too: both feed the same exact entry sums into the same
@@ -55,15 +56,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cmath>
 #include <deque>
 #include <iterator>
 #include <limits>
 #include <map>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/decayed_space_saving.h"
 #include "core/entry_order.h"
 #include "core/merge.h"
 #include "core/sketch_entry.h"
@@ -88,20 +89,6 @@ inline constexpr uint64_t kMaxWindowEpochs = 4096;
 /// from uint64 wraparound on hostile stamps.
 inline constexpr uint64_t kMaxEpochStamp = uint64_t{1} << 62;
 
-/// Per-epoch decay factor 2^(-1/half_life) (0.0 when decay is off).
-inline double EpochDecayFactor(double half_life_epochs) {
-  return half_life_epochs > 0.0 ? std::exp2(-1.0 / half_life_epochs) : 0.0;
-}
-
-/// A usable half-life: decay off (exactly 0), or a per-epoch factor
-/// that does not underflow double. Half-lives below ~0.00094 epochs
-/// would yield factor 0 — decay silently disabled while half_life > 0,
-/// a combination the wire codec rightly rejects as inconsistent — so
-/// they are refused up front. Also rejects negatives and NaN.
-inline bool ValidHalfLife(double half_life_epochs) {
-  return half_life_epochs == 0.0 || EpochDecayFactor(half_life_epochs) > 0.0;
-}
-
 /// Configuration of the epoch ring.
 struct WindowedSketchOptions {
   size_t window_epochs = 8;     ///< ring length W (>= 1, <= kMaxWindowEpochs)
@@ -125,7 +112,7 @@ struct EpochRow {
 // Window-layer telemetry (obs/metrics.h), shared by every windowed
 // sketch in the process: merge-cache effectiveness (node hits/misses
 // and the level partial reuse lands at), closed-span memo effectiveness
-// (the combine_memo families), decay-fold cost, and fast-forward jumps.
+// (the combine_memo families), and fast-forward jumps.
 // Handles are function-local statics, so the query/ingest paths only
 // touch relaxed atomics.
 namespace window_metrics {
@@ -163,12 +150,6 @@ inline obs::Counter& CombineMemoMisses() {
   return c;
 }
 
-inline obs::Histogram& FoldUs() {
-  static obs::Histogram& hist = obs::MetricsRegistry::Global().GetHistogram(
-      "dsketch_window_fold_us");
-  return hist;
-}
-
 // Merged-ring epochs rebuilt by the epoch-aligned shard merge: a full
 // merge counts the whole window, an in-place refresh only the epochs
 // that could still change. Growth of W per refresh means something (a
@@ -188,17 +169,6 @@ inline obs::Counter& FastForwards() {
 
 }  // namespace window_metrics
 
-namespace window_internal {
-
-// Entry-to-weighted adapters so the decay fold works over both the
-// integer-count and the real-valued sketch families.
-inline WeightedEntry AsWeighted(const SketchEntry& e) {
-  return {e.item, static_cast<double>(e.count)};
-}
-inline WeightedEntry AsWeighted(const WeightedEntry& e) { return e; }
-
-}  // namespace window_internal
-
 /// Epoch ring over sketch type `S` (UnbiasedSpaceSaving by default;
 /// anything with S(capacity, seed), Update, UpdateBatch, Entries() and a
 /// MergeShards pointer overload works).
@@ -214,14 +184,16 @@ class WindowedSketch {
   };
 
   explicit WindowedSketch(const WindowedSketchOptions& options)
-      : options_(options),
-        decayed_(options.merged_capacity, options.seed),
-        decay_factor_(EpochDecayFactor(options.half_life_epochs)) {
+      : options_(options) {
     DSKETCH_CHECK(options.window_epochs > 0 &&
                   options.window_epochs <= kMaxWindowEpochs);
     DSKETCH_CHECK(options.epoch_capacity > 0);
     DSKETCH_CHECK(options.merged_capacity > 0);
     DSKETCH_CHECK(ValidHalfLife(options.half_life_epochs));
+    if (options.half_life_epochs > 0.0) {
+      decayed_.emplace(options.merged_capacity, options.half_life_epochs,
+                       options.seed);
+    }
     ring_.emplace_back(0, S(options.epoch_capacity, options.seed));
   }
 
@@ -281,9 +253,9 @@ class WindowedSketch {
   }
 
   /// Closes the open epoch and opens the next one. Slots older than the
-  /// window fall off the ring; in decayed mode the closed epoch is
-  /// folded into the accumulator first, so its mass survives (decayed)
-  /// after the ring forgets it.
+  /// window fall off the ring; in decayed mode the closed epoch joins
+  /// the accumulator first, so its mass survives (decayed) after the
+  /// ring forgets it.
   void Advance() { AdvanceTo(CurrentEpoch() + 1); }
 
   /// Advances the ring to `epoch` (no-op when not ahead of the open
@@ -348,15 +320,9 @@ class WindowedSketch {
   /// epoch weight 1. Requires decayed mode.
   WeightedSpaceSaving QueryDecayed() const {
     DSKETCH_CHECK(decay_enabled());
-    WeightedSpaceSaving open(options_.merged_capacity,
-                             options_.seed + CurrentEpoch());
-    for (const auto& e : ring_.back().sketch.Entries()) {
-      WeightedEntry w = window_internal::AsWeighted(e);
-      if (w.weight > 0.0) open.Update(w.item, w.weight);
-    }
-    WeightedSpaceSaving closed = DecayedClosedView();
-    return Merge(closed, open, options_.merged_capacity,
-                 options_.seed + CurrentEpoch());
+    DecayedSpaceSaving now = *decayed_;
+    AddEpoch(ring_.back(), now);
+    return now.DecayedSketch(static_cast<double>(CurrentEpoch()));
   }
 
   /// Id of the open epoch (0-based, monotone).
@@ -371,25 +337,30 @@ class WindowedSketch {
   /// Ring slots, oldest first (newest is the open epoch).
   const std::deque<EpochSlot>& slots() const { return ring_; }
 
-  /// The raw decayed accumulator (meaningful only in decayed mode).
-  /// Excludes closed epochs still waiting in the amortized fold batch —
-  /// use DecayedClosedView() for the query/serialization semantics.
-  const WeightedSpaceSaving& decayed_accumulator() const { return decayed_; }
+  /// The closed epochs' decay accumulator (set exactly in decayed mode).
+  const std::optional<DecayedSpaceSaving>& decayed_accumulator() const {
+    return decayed_;
+  }
 
-  /// The effective decayed view over all *closed* epochs as of the open
-  /// epoch: the accumulator plus every pending (not yet batch-folded)
-  /// closed epoch aged to now. Pure — reads never fold, so results stay
-  /// a function of (seed, stream, epoch stamps) alone. QueryDecayed adds
-  /// the open epoch on top of this.
+  /// The accumulator as of the open epoch (what the wire codec ships;
+  /// QueryDecayed adds the open epoch). Requires decayed mode.
   WeightedSpaceSaving DecayedClosedView() const {
-    if (pending_.empty()) return decayed_;
-    return WeightedSketchFromEntries(CombinedDecayed(CurrentEpoch()),
-                                     options_.merged_capacity,
-                                     options_.seed + CurrentEpoch());
+    DSKETCH_CHECK(decay_enabled());
+    return decayed_->DecayedSketch(static_cast<double>(CurrentEpoch()));
+  }
+
+  /// Adds `slot`'s entries to `decayed` as rows stamped with its epoch.
+  static void AddEpoch(const EpochSlot& slot, DecayedSpaceSaving& decayed) {
+    std::vector<WeightedEntry> rows;
+    for (const auto& e : slot.sketch.Entries()) {
+      if (e.count > 0) rows.push_back({e.item, static_cast<double>(e.count)});
+    }
+    decayed.UpdateBatch(Span<const WeightedEntry>(rows.data(), rows.size()),
+                        static_cast<double>(slot.epoch));
   }
 
   /// True when the exponentially-decayed accumulator is maintained.
-  bool decay_enabled() const { return decay_factor_ > 0.0; }
+  bool decay_enabled() const { return decayed_.has_value(); }
 
   /// The ring configuration.
   const WindowedSketchOptions& options() const { return options_; }
@@ -397,23 +368,26 @@ class WindowedSketch {
   /// Restores internal state from decoded parts (the window wire codec's
   /// entry point; `slots` must be non-empty with strictly increasing
   /// epochs, at most window_epochs of them): ReplaceTail from epoch 0.
-  void LoadState(std::deque<EpochSlot> slots, WeightedSpaceSaving decayed,
+  void LoadState(std::deque<EpochSlot> slots,
+                 std::optional<DecayedSpaceSaving> decayed,
                  uint64_t rows_in_epoch, uint64_t total_rows) {
     ReplaceTail(0, std::move(slots), std::move(decayed), rows_in_epoch,
                 total_rows);
   }
 
   /// Replaces every slot at epoch `from` or later with `tail` (non-empty,
-  /// strictly increasing epochs, all >= `from`) and the decayed state and
-  /// row counters outright. Slots below `from` are kept, minus those that
-  /// fall outside the window ending at the tail's newest epoch, and so
-  /// are the merge-tree nodes whose span ends below `from`: the caller
-  /// vouches that those slots are unchanged. This is
-  /// how the windowed MergeShardsFrom refreshes a merged ring in place.
+  /// strictly increasing epochs, all >= `from`) and the decayed state
+  /// (present exactly in decayed mode) and row counters outright. Slots
+  /// below `from` are kept, minus those that fall outside the window
+  /// ending at the tail's newest epoch, and so are the merge-tree nodes
+  /// whose span ends below `from`: the caller vouches that those slots
+  /// are unchanged. This is how the windowed MergeShardsFrom refreshes a
+  /// merged ring in place.
   void ReplaceTail(uint64_t from, std::deque<EpochSlot> tail,
-                   WeightedSpaceSaving decayed, uint64_t rows_in_epoch,
-                   uint64_t total_rows) {
+                   std::optional<DecayedSpaceSaving> decayed,
+                   uint64_t rows_in_epoch, uint64_t total_rows) {
     DSKETCH_CHECK(!tail.empty() && tail.front().epoch >= from);
+    DSKETCH_CHECK(decayed.has_value() == decay_enabled());
     for (size_t i = 1; i < tail.size(); ++i) {
       DSKETCH_CHECK(tail[i - 1].epoch < tail[i].epoch);
     }
@@ -429,7 +403,6 @@ class WindowedSketch {
     decayed_ = std::move(decayed);
     rows_in_epoch_ = rows_in_epoch;
     total_rows_ = total_rows;
-    pending_.clear();
     // Memo entries and nodes reaching `from` summed replaced slots.
     for (auto it = closed_memo_.begin(); it != closed_memo_.end();) {
       it = it->second.hi > from ? closed_memo_.erase(it) : std::next(it);
@@ -441,26 +414,12 @@ class WindowedSketch {
   // Jump handler for advances past the whole window: every ring slot
   // that survives the jump is newly created and empty, so instead of
   // closing the skipped epochs one at a time the ring is rebuilt
-  // directly at `epoch` and the decayed accumulator is aged once by the
-  // whole lag. Ring state (slot epochs, seeds, emptiness) matches the
-  // epoch-at-a-time path exactly; the decayed mass matches it
-  // analytically — one Scale in place of the skipped epochs'
-  // scale/merge-with-empty rounds, fp rounding aside.
+  // directly at `epoch`. Ring state (slot epochs, seeds, emptiness) and
+  // the accumulator match the epoch-at-a-time path exactly: the skipped
+  // epochs add nothing, and the jump only moves the epoch queries age to.
   void FastForwardTo(uint64_t epoch) {
     window_metrics::FastForwards().Inc();
-    if (decay_enabled()) {
-      CloseEpoch();  // the open epoch's rows, aged one epoch
-      // Settle the fold batch before lag-scaling: the whole pending mass
-      // must age by the jump too.
-      FoldPending(CurrentEpoch() + 1);
-      const double lag = static_cast<double>(epoch - CurrentEpoch() - 1);
-      const double factor = std::exp2(-lag / options_.half_life_epochs);
-      if (factor > 0.0) {
-        decayed_.Scale(factor);
-      } else {
-        decayed_.LoadEntries({});  // decayed below the double range
-      }
-    }
+    CloseEpoch();
     ring_.clear();
     // epoch > window_epochs here (CurrentEpoch() >= 0), so no underflow.
     for (uint64_t e = epoch - options_.window_epochs + 1;; ++e) {
@@ -479,64 +438,9 @@ class WindowedSketch {
     }
   }
 
-  // Closes the open epoch into the decayed state: age the accumulator
-  // by one epoch (cheap — it stays expressed as of the open epoch), but
-  // *stash* the closing epoch's entries instead of paying a weighted
-  // merge per close. Stashed epochs fold in batches of FoldBatchEpochs()
-  // with their exact ages 2^(-(fold epoch - e)/half_life), so decay-on
-  // ingest no longer pays a full fold per epoch close.
+  // Closes the open epoch into the decayed accumulator, if any.
   void CloseEpoch() {
-    if (!decay_enabled()) return;
-    decayed_.Scale(decay_factor_);
-    std::vector<WeightedEntry> closing;
-    for (const auto& e : ring_.back().sketch.Entries()) {
-      WeightedEntry w = window_internal::AsWeighted(e);
-      if (w.weight > 0.0) closing.push_back(w);
-    }
-    if (!closing.empty()) {
-      pending_.emplace_back(CurrentEpoch(), std::move(closing));
-    }
-    if (pending_.size() >= FoldBatchEpochs()) FoldPending(CurrentEpoch() + 1);
-  }
-
-  // Epochs stashed per fold: enough batching to amortize the weighted
-  // reduction across ring growth, small enough that a read's on-the-fly
-  // combine (DecayedClosedView) stays cheap.
-  size_t FoldBatchEpochs() const {
-    const size_t b = options_.window_epochs / 8;
-    return b < 1 ? 1 : (b > 32 ? 32 : b);
-  }
-
-  // Exact (item -> weight) sums of the accumulator plus every pending
-  // closed epoch aged to `as_of` (the epoch the accumulator itself is
-  // expressed at). Zero/underflowed masses drop out.
-  std::vector<WeightedEntry> CombinedDecayed(uint64_t as_of) const {
-    std::unordered_map<uint64_t, double> sums;
-    for (const WeightedEntry& e : decayed_.Entries()) sums[e.item] += e.weight;
-    for (const auto& [ep, entries] : pending_) {
-      const double f = std::exp2(-static_cast<double>(as_of - ep) /
-                                 options_.half_life_epochs);
-      if (f <= 0.0) continue;
-      for (const WeightedEntry& e : entries) sums[e.item] += e.weight * f;
-    }
-    std::vector<WeightedEntry> combined;
-    combined.reserve(sums.size());
-    for (const auto& [item, w] : sums) {
-      if (w > 0.0) combined.push_back({item, w});
-    }
-    return combined;
-  }
-
-  // Collapses the fold batch into the accumulator with one weighted
-  // reduction, seeded by the epoch the fold lands at (span-derived, so
-  // a fixed stream reproduces it).
-  void FoldPending(uint64_t as_of) {
-    if (pending_.empty()) return;
-    obs::ScopedTimer fold_timer(window_metrics::FoldUs());
-    decayed_ = WeightedSketchFromEntries(CombinedDecayed(as_of),
-                                         options_.merged_capacity,
-                                         options_.seed + as_of);
-    pending_.clear();
+    if (decayed_.has_value()) AddEpoch(ring_.back(), *decayed_);
   }
 
   // ---- hierarchical merge cache ----
@@ -744,14 +648,10 @@ class WindowedSketch {
 
   WindowedSketchOptions options_;
   std::deque<EpochSlot> ring_;
-  WeightedSpaceSaving decayed_;
-  double decay_factor_;
+  std::optional<DecayedSpaceSaving> decayed_;
   uint64_t rows_in_epoch_ = 0;
   uint64_t total_rows_ = 0;
   std::vector<uint64_t> batch_;  // scratch for epoch-stamped batches
-  // Closed epochs stashed for the next batched decay fold (epoch id +
-  // that epoch's full-weight entries).
-  std::vector<std::pair<uint64_t, std::vector<WeightedEntry>>> pending_;
   mutable std::map<std::pair<uint32_t, uint64_t>, std::vector<SketchEntry>>
       node_cache_;
   // Closed-span sums per last_k, at most 8 of them.
@@ -771,8 +671,9 @@ using WindowedSpaceSaving = WindowedSketch<UnbiasedSpaceSaving>;
 /// epoch] are re-merged (a `from` past the newest epoch is clamped to
 /// it); merged's slots and merge-tree nodes below `from` are kept
 /// — the caller vouches that no shard's slot below `from` changed since
-/// they were merged — and the decayed accumulators are re-merged under
-/// the weighted reduction. So with the same shard state, a refresh is
+/// they were merged — and the decayed accumulators are re-merged with
+/// MergeDecayed, a lagging shard's open epoch added at its own stamp. So
+/// with the same shard state, a refresh is
 /// bit-identical to a full merge, and
 /// ShardedSketch<WindowedSpaceSaving>::Snapshot() is epoch-consistent:
 /// the merged ring answers window queries exactly as one windowed sketch

@@ -196,6 +196,38 @@ TEST(DecayedSpaceSavingTest, RenormalizationKeepsEstimates) {
   EXPECT_TRUE(std::isfinite(sketch.TotalDecayedWeight(t)));
 }
 
+TEST(DecayedSpaceSavingTest, GapBeyondDoubleRangeClearsOldMass) {
+  // 4000 time units at half-life 2 is 2000 half-lives: the landmark
+  // rescale factor underflows double, so the old counters are cleared
+  // instead of handed a zero scale factor.
+  DecayedSpaceSaving sketch(8, /*half_life=*/2.0, 7);
+  sketch.Update(1, 0.0);
+  sketch.Update(2, 4000.0, 3.0);
+  EXPECT_EQ(sketch.TotalDecayedWeight(4000.0), 3.0);
+  EXPECT_EQ(sketch.EstimateDecayedCount(1, 4000.0), 0.0);
+  EXPECT_EQ(sketch.EstimateDecayedCount(2, 4000.0), 3.0);
+  EXPECT_EQ(sketch.DecayedSketch(1e6).TotalWeight(), 0.0);
+}
+
+TEST(DecayedSpaceSavingTest, MergeLinesUpLandmarks) {
+  // Two sites with landmarks 0 and 30: the merge rescales the older
+  // part once, and decayed totals add up as one sketch's would.
+  DecayedSpaceSaving a(16, /*half_life=*/10.0, 8);
+  DecayedSpaceSaving b(16, /*half_life=*/10.0, 9);
+  for (int i = 0; i < 5; ++i) a.Update(1 + i, 0.0, 4.0);
+  for (int i = 0; i < 5; ++i) b.Update(10 + i, 30.0, 2.0);
+  DecayedSpaceSaving merged = MergeDecayed({a, b}, 16, 10);
+  const double truth = 20.0 * std::exp2(-5.0) + 10.0 * std::exp2(-2.0);
+  EXPECT_NEAR(merged.TotalDecayedWeight(50.0), truth, truth * 1e-12);
+  EXPECT_NEAR(merged.EstimateDecayedCount(1, 50.0), 4.0 * std::exp2(-5.0),
+              1e-12);
+  // A part older than double's range contributes nothing.
+  DecayedSpaceSaving c(16, /*half_life=*/10.0, 11);
+  c.Update(20, 1e6);
+  DecayedSpaceSaving far = MergeDecayed({a, c}, 16, 12);
+  EXPECT_EQ(far.TotalDecayedWeight(1e6), 1.0);
+}
+
 TEST(DecayedSpaceSavingTest, DecayedEntriesSortedAndScaled) {
   DecayedSpaceSaving sketch(4, 10.0, 6);
   sketch.Update(1, 0.0);

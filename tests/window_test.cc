@@ -20,7 +20,9 @@
 #include "core/merge.h"
 #include "core/subset_sum.h"
 #include "query/windowed_source.h"
+#include "stats/welford.h"
 #include "stream/generators.h"
+#include "test_scale.h"
 #include "util/random.h"
 #include "window/sharded_windowed.h"
 #include "window/window_wire.h"
@@ -437,6 +439,105 @@ TEST(WindowedSketchTest, DecayedViewTracksAnalyticTruth) {
     EXPECT_NEAR(est.estimate, epoch_truth, truth * 0.35)
         << "epoch " << e;
   }
+}
+
+// Unbiasedness of the decayed view across seeds: the decayed subset sum
+// of one epoch's labels averages to the analytic truth, rows * 2^-(age /
+// half_life), within 3 standard errors. Capacities sit well below the
+// distinct labels so the epoch sketches and the accumulator both reduce.
+// DSKETCH_TEST_SCALE multiplies the seeds (20 here, 200 under `slow`).
+constexpr uint64_t kDecayLabelsPerEpoch = 1000;
+
+std::vector<uint64_t> DecayEpochRows(uint64_t epoch, size_t rows, Rng& rng) {
+  std::vector<uint64_t> out;
+  out.reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    out.push_back(epoch * kDecayLabelsPerEpoch + rng.NextBounded(120));
+  }
+  return out;
+}
+
+void ExpectUnbiased(const Welford& est, double truth, const char* what) {
+  EXPECT_NEAR(est.mean(), truth, 3.0 * est.stderr_mean() + 1e-9 * truth)
+      << what << ": mean " << est.mean() << " over " << est.count()
+      << " seeds, stderr " << est.stderr_mean();
+}
+
+TEST(WindowedSketchTest, DecayedSubsetSumIsUnbiasedAcrossSeeds) {
+  const uint64_t kTarget = 7;  // closed and off the ring by the query
+  const uint64_t kEpochs = 12;
+  const size_t kRows = 300;
+  const double kHalfLife = 3.0;
+  Welford est;
+  for (int t = 0; t < test::ScaledTrials(20); ++t) {
+    WindowedSketchOptions opt;
+    opt.window_epochs = 4;
+    opt.epoch_capacity = 48;
+    opt.merged_capacity = 96;
+    opt.half_life_epochs = kHalfLife;
+    opt.seed = 9000 + static_cast<uint64_t>(t) * 100;
+    WindowedSpaceSaving sketch(opt);
+    Rng rng(700 + static_cast<uint64_t>(t));
+    for (uint64_t e = 0; e < kEpochs; ++e) {
+      const std::vector<uint64_t> rows = DecayEpochRows(e, kRows, rng);
+      sketch.UpdateBatch(Span<const uint64_t>(rows.data(), rows.size()));
+      if (e + 1 < kEpochs) sketch.Advance();
+    }
+    est.Add(EstimateSubsetSum(sketch.QueryDecayed(), [](uint64_t item) {
+              return item / kDecayLabelsPerEpoch == kTarget;
+            }).estimate);
+  }
+  const double truth =
+      kRows * std::exp2(-static_cast<double>(kEpochs - 1 - kTarget) /
+                        kHalfLife);
+  ExpectUnbiased(est, truth, "ring");
+}
+
+TEST(ShardedWindowedTest, DecayedSubsetSumIsUnbiasedWithALaggingShard) {
+  // Shard 3 gets no rows after the target epoch, so at the query its
+  // open epoch is still the target: the fleet merge must add that open
+  // epoch at its own stamp and line it up with the other shards'
+  // accumulators.
+  const uint64_t kTarget = 3;
+  const uint64_t kEpochs = 9;
+  const size_t kRows = 400;
+  const double kHalfLife = 2.5;
+  const size_t kLagging = 3;
+  Welford est;
+  for (int t = 0; t < test::ScaledTrials(20); ++t) {
+    ShardedSketchOptions shard;
+    shard.num_shards = 4;
+    shard.seed = 5000 + static_cast<uint64_t>(t) * 10;
+    WindowedSketchOptions window;
+    window.window_epochs = 3;
+    window.epoch_capacity = 16;
+    window.merged_capacity = 40;
+    window.half_life_epochs = kHalfLife;
+    WindowedSketchSource source(shard, window);
+    Rng rng(900 + static_cast<uint64_t>(t));
+    for (uint64_t e = 0; e < kEpochs; ++e) {
+      source.Advance(e);
+      std::vector<uint64_t> rows = DecayEpochRows(e, kRows, rng);
+      if (e > kTarget) {
+        rows.erase(std::remove_if(rows.begin(), rows.end(),
+                                  [&](uint64_t item) {
+                                    return source.sharded().ShardOf(item) ==
+                                           kLagging;
+                                  }),
+                   rows.end());
+      }
+      source.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+    }
+    source.Flush();
+    EXPECT_EQ(source.sharded().shard(kLagging).CurrentEpoch(), kTarget);
+    est.Add(EstimateSubsetSum(source.DecayedView(), [](uint64_t item) {
+              return item / kDecayLabelsPerEpoch == kTarget;
+            }).estimate);
+  }
+  const double truth =
+      kRows * std::exp2(-static_cast<double>(kEpochs - 1 - kTarget) /
+                        kHalfLife);
+  ExpectUnbiased(est, truth, "4-shard fleet");
 }
 
 TEST(ShardedWindowedTest, EpochAlignedSnapshotPreservesWindowTotals) {

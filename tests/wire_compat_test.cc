@@ -97,9 +97,30 @@ TEST(WireCompatTest, WindowedGoldenPinsCurrentEncoderBytes) {
     EXPECT_EQ(Canonical(restored->slots()[i].sketch.Entries()),
               Canonical(ref.slots()[i].sketch.Entries()));
   }
-  EXPECT_NEAR(restored->decayed_accumulator().TotalWeight(),
-              ref.decayed_accumulator().TotalWeight(),
-              ref.decayed_accumulator().TotalWeight() * 1e-12);
+  const double ref_total = ref.DecayedClosedView().TotalWeight();
+  EXPECT_NEAR(restored->DecayedClosedView().TotalWeight(), ref_total,
+              ref_total * 1e-12);
+}
+
+TEST(WireCompatTest, BackwardAgedWindowedGoldenStillDecodes) {
+  // Rings encoded while the accumulator was aged backwards carry the
+  // same kind-7 layout: masses as of the open epoch. They restore into
+  // the same ring, with the accumulator's decayed total unchanged.
+  const std::string bytes =
+      ReadFixture(golden::kBackwardWindowedFixtureName);
+  auto restored = DeserializeWindowed(bytes, 1007);
+  ASSERT_TRUE(restored.has_value());
+  WindowedSpaceSaving ref = golden::Windowed();
+  EXPECT_EQ(restored->CurrentEpoch(), ref.CurrentEpoch());
+  EXPECT_EQ(restored->TotalRows(), ref.TotalRows());
+  ASSERT_EQ(restored->slots().size(), ref.slots().size());
+  for (size_t i = 0; i < ref.slots().size(); ++i) {
+    EXPECT_EQ(Canonical(restored->slots()[i].sketch.Entries()),
+              Canonical(ref.slots()[i].sketch.Entries()));
+  }
+  const double ref_total = ref.DecayedClosedView().TotalWeight();
+  EXPECT_NEAR(restored->DecayedClosedView().TotalWeight(), ref_total,
+              ref_total * 1e-12);
 }
 
 TEST(WireCompatTest, FrozenGoldenPinsCurrentImageBytes) {

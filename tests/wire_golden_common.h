@@ -100,7 +100,12 @@ inline constexpr const char* kFixtureNames[] = {
 
 /// The v2-only windowed-ring fixture (kind 7 was born on wire v2, so
 /// its golden pins the *current* encoder's bytes).
-inline constexpr const char* kWindowedFixtureName = "v2_windowed.bin";
+inline constexpr const char* kWindowedFixtureName = "v2_windowed_forward.bin";
+
+/// The Windowed() ring as encoded when the decayed accumulator was aged
+/// backwards each epoch: same kind-7 layout, different reduction
+/// history. Decode-only — no writer produces these bytes any more.
+inline constexpr const char* kBackwardWindowedFixtureName = "v2_windowed.bin";
 
 /// The frozen-image fixture (kind 8). Freezing is deterministic down to
 /// the padding bytes, so this golden pins the entire mmap'd layout:

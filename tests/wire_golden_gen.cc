@@ -1,6 +1,7 @@
 // Regenerates the checked-in golden fixtures that still have a writer
-// (v1_unbiased.bin, v2_windowed.bin, frozen_unbiased.bin; the bytes of
-// v1_weighted.bin are frozen, since its v1 writer is gone):
+// (v1_unbiased.bin, v2_windowed_forward.bin, frozen_unbiased.bin; the
+// bytes of v1_weighted.bin and v2_windowed.bin are frozen, since their
+// writers are gone):
 //
 //   ./wire_golden_gen <output_dir>
 //
