@@ -15,10 +15,11 @@
 //   * micro          — per-sketch single-row update costs (the Unbiased
 //                      Space Saving rows as median and min-max over
 //                      kSpreadReps runs), merge cost, and query cost;
-//   * shard_merge_us — one MergeShards of two hash-partitioned 4096-bin
-//                      shards into 4096 bins (the merge behind every
-//                      fresh served query), Zipf 1.1 over 1M items;
-//                      median and min-max over kShardMergeReps merges.
+//   * shard_merge_us — ShardedSketch::Snapshot of 2, 4 and 32
+//                      hash-partitioned 4096-bin shards into 4096 bins
+//                      (the merge behind every fresh served query), Zipf
+//                      1.1 over 1M items; median and min-max over 21
+//                      merges, each fleet checked against MergeAll.
 //
 // Flags: --rows=N stream length, --reps=N repetitions of the best-of rows
 // (max is reported), --json=PATH writes machine-readable baselines (recorded as
@@ -30,7 +31,9 @@
 // --smoke replaces the sweeps with a CI correctness gate: a small
 // configuration covering both UpdateBatch bodies (plain and software-
 // pipelined) that asserts batch ingestion is bit-identical to per-row
-// updates and that throughput is sane (> 0), exiting nonzero otherwise.
+// updates and that throughput is sane (> 0), and a small shard_merge
+// run whose fleet snapshots must equal MergeAll over their parts byte
+// for byte, exiting nonzero otherwise.
 //
 // Every JSON output starts with the "machine" record bench_util.h writes
 // (hardware threads, compiler) and a "params" record (allocator mode,
@@ -47,6 +50,7 @@
 #include "bench_util.h"
 #include "core/deterministic_space_saving.h"
 #include "core/merge.h"
+#include "core/serialization.h"
 #include "core/subset_sum.h"
 #include "core/unbiased_space_saving.h"
 #include "core/weighted_space_saving.h"
@@ -300,16 +304,15 @@ void MicroBenches(const Workload& w, int reps, bench::JsonSink& sink) {
   }
 }
 
-// The shape of the service's fresh-query merge: two shards of 4096 bins,
-// hash-partitioned by ShardedSketch, merged into 4096 bins. The stream is
-// 2M rows of Zipf 1.1 over 1M items, ids scattered by a permutation.
-constexpr int kShardMergeReps = 21;
+// The service's fresh-query merge: ShardedSketch::Snapshot of a fleet of
+// 4096-bin shards into 4096 bins, at 2, 4 and 32 shards. Zipf 1.1 over
+// 1M items, ids scattered by a permutation. Each fleet's snapshot is
+// also checked against MergeAll over its parts, byte for byte; returns
+// the number of fleets whose bytes differ.
+constexpr size_t kShardMergeBins = 4096;
 
-void ShardMergeBench(bench::JsonSink& sink) {
+int ShardMergeBench(size_t rows_n, int reps, bench::JsonSink& sink) {
   constexpr size_t kItems = 1000000;
-  constexpr size_t kRows = 2000000;
-  constexpr size_t kShards = 2;
-  constexpr size_t kBins = 4096;
   std::vector<double> weights(kItems);
   for (size_t r = 0; r < kItems; ++r) {
     weights[r] = std::pow(static_cast<double>(r + 1), -1.1);
@@ -319,43 +322,51 @@ void ShardMergeBench(bench::JsonSink& sink) {
   for (size_t i = 0; i < kItems; ++i) item_of_rank[i] = i;
   Rng rng(11);
   rng.Shuffle(item_of_rank.data(), item_of_rank.size());
-  std::vector<uint64_t> rows(kRows);
+  std::vector<uint64_t> rows(rows_n);
   for (uint64_t& item : rows) item = item_of_rank[table.Sample(rng)];
 
-  ShardedSketchOptions opt;
-  opt.num_shards = kShards;
-  opt.shard_capacity = kBins;
-  opt.seed = 12;
-  ShardedSpaceSaving sharded(opt);
-  sharded.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
-  sharded.Flush();
-  std::vector<const UnbiasedSpaceSaving*> parts;
-  for (size_t i = 0; i < kShards; ++i) parts.push_back(&sharded.shard(i));
+  int mismatches = 0;
+  std::printf("\n-- shard_merge: Snapshot of N x %zu bins -> %zu bins, "
+              "%zu rows --\n",
+              kShardMergeBins, kShardMergeBins, rows_n);
+  for (size_t shards : {size_t{2}, size_t{4}, size_t{32}}) {
+    ShardedSketchOptions opt;
+    opt.num_shards = shards;
+    opt.shard_capacity = kShardMergeBins;
+    opt.seed = 12;
+    ShardedSpaceSaving sharded(opt);
+    sharded.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
 
-  std::vector<double> us(kShardMergeReps);
-  for (int r = 0; r < kShardMergeReps; ++r) {
-    auto t0 = Clock::now();
-    UnbiasedSpaceSaving merged =
-        MergeShards(parts, kBins, static_cast<uint64_t>(13 + r));
-    us[static_cast<size_t>(r)] = Seconds(t0) * 1e6;
-    if (merged.TotalCount() != static_cast<int64_t>(kRows)) std::abort();
+    const bool identical =
+        Serialize(sharded.Snapshot(kShardMergeBins, 13)) ==
+        Serialize(MergeAll(sharded.Parts(), kShardMergeBins, 13));
+    if (!identical) ++mismatches;
+
+    std::vector<double> us(static_cast<size_t>(reps));
+    for (int r = 0; r < reps; ++r) {
+      auto t0 = Clock::now();
+      UnbiasedSpaceSaving merged =
+          sharded.Snapshot(kShardMergeBins, static_cast<uint64_t>(13 + r));
+      us[static_cast<size_t>(r)] = Seconds(t0) * 1e6;
+      if (merged.TotalCount() != static_cast<int64_t>(rows_n)) std::abort();
+    }
+    const bench::Spread spread = bench::SpreadOf(us);
+    std::printf("shards=%-3zu %10.1f us  (min %.1f, max %.1f, %d merges)  "
+                "equals MergeAll: %s\n",
+                shards, spread.median, spread.min, spread.max, reps,
+                identical ? "OK" : "FAILED");
+    if (sink.enabled()) {
+      sink.BeginRecord("micro");
+      sink.Add("name", "shard_merge_us");
+      sink.Add("shards", static_cast<int64_t>(shards));
+      sink.Add("m", static_cast<int64_t>(kShardMergeBins));
+      sink.Add("reps", static_cast<int64_t>(reps));
+      sink.Add("median_us", spread.median);
+      sink.Add("min_us", spread.min);
+      sink.Add("max_us", spread.max);
+    }
   }
-  const bench::Spread spread = bench::SpreadOf(us);
-  std::printf("\n-- shard_merge: MergeShards %zu x %zu -> %zu bins --\n",
-              kShards, kBins, kBins);
-  std::printf("%-24s %10.1f us  (min %.1f, max %.1f, %d merges)\n",
-              "shard_merge_us", spread.median, spread.min, spread.max,
-              kShardMergeReps);
-  if (sink.enabled()) {
-    sink.BeginRecord("micro");
-    sink.Add("name", "shard_merge_us");
-    sink.Add("shards", static_cast<int64_t>(kShards));
-    sink.Add("m", static_cast<int64_t>(kBins));
-    sink.Add("reps", static_cast<int64_t>(kShardMergeReps));
-    sink.Add("median_us", spread.median);
-    sink.Add("min_us", spread.min);
-    sink.Add("max_us", spread.max);
-  }
+  return mismatches;
 }
 
 // --smoke body: proves the ingest hot path end to end on a small stream.
@@ -387,7 +398,6 @@ int SmokeCheck(const Workload& w) {
       ++failures;
     }
   }
-  std::printf("smoke: %s\n", failures == 0 ? "OK" : "FAILED");
   return failures;
 }
 
@@ -430,7 +440,9 @@ int main(int argc, char** argv) {
     workloads.push_back({"zipf", PermutedStream(counts, rng)});
   }
   if (smoke) {
-    const int failures = SmokeCheck(workloads[0]);
+    const int failures =
+        SmokeCheck(workloads[0]) + ShardMergeBench(200000, 3, sink);
+    std::printf("smoke: %s\n", failures == 0 ? "OK" : "FAILED");
     sink.Flush();
     return failures == 0 ? 0 : 1;
   }
@@ -448,8 +460,8 @@ int main(int argc, char** argv) {
   BatchSizeSweep(workloads[0], full ? 4000000 : 1000000, reps, sink);
   ShardScalingSweep(workloads[0], 262144, sink);
   MicroBenches(workloads[1], reps, sink);
-  ShardMergeBench(sink);
+  const int mismatches = ShardMergeBench(2000000, 21, sink);
 
   sink.Flush();
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

@@ -16,6 +16,8 @@
 //     first cached query of each last_k builds the cache, so it is
 //     recorded apart (query_*_cold_us) from the mean of the warm rest
 //     (query_*_us).
+// Each configuration runs 5 times on a fresh ring; every window_throughput
+// figure is the median, and --json also records its min and max.
 //
 // A fleet row then drives the query-side source the service's window
 // scope uses (WindowedSketchSource, 1 and 4 shards, W=64, 1024 bins per
@@ -65,15 +67,8 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Median and range of a set of timings.
-struct Spread {
-  double median = 0, min = 0, max = 0;
-};
-
-Spread SpreadOf(std::vector<double> us) {
-  std::sort(us.begin(), us.end());
-  return {us[us.size() / 2], us.front(), us.back()};
-}
+// Fresh-ring runs behind each window_throughput row.
+constexpr int kThroughputReps = 5;
 
 // The fleet row (see the header). Returns the smoke failure count: the
 // refreshed ring must serialize exactly as a fresh source's full merge,
@@ -165,9 +160,9 @@ int FleetBench(const std::vector<uint64_t>& stream, bool smoke,
                            "view_full_us", "full_merge_us"};
     for (int phase = 0; phase < 2; ++phase) {
       std::printf("%-7zu %-8s", shards, phase_names[phase]);
-      Spread spreads[kColumns];
+      bench::Spread spreads[kColumns];
       for (size_t i = 0; i < kColumns; ++i) {
-        spreads[i] = SpreadOf(times[phase][i]);
+        spreads[i] = bench::SpreadOf(times[phase][i]);
         std::printf(" %8.1f [%5.0f-%5.0f]", spreads[i].median, spreads[i].min,
                     spreads[i].max);
       }
@@ -245,7 +240,9 @@ int Run(int argc, char** argv) {
     json.Add("queries", queries);
   }
 
-  std::printf("\n%-8s %-7s %14s %14s %12s %12s %12s %14s\n", "ring_W",
+  std::printf("\n%d fresh rings per row; median, ingest also [min-max]\n",
+              kThroughputReps);
+  std::printf("%-8s %-7s %20s %14s %12s %12s %12s %14s\n", "ring_W",
               "decay", "ingest_mrows_s", "advance_us", "q_last1_us",
               "q_half_us", "q_full_us", "q_full_raw_us");
 
@@ -264,110 +261,130 @@ int Run(int argc, char** argv) {
       opt.rows_per_epoch = stream.size() / static_cast<size_t>(2 * W) + 1;
       opt.half_life_epochs = decay == 1 ? static_cast<double>(W) / 4.0 : 0.0;
       opt.seed = 71;
-      WindowedSpaceSaving sketch(opt);
 
-      Clock::time_point start = Clock::now();
-      sketch.UpdateBatch(Span<const uint64_t>(stream.data(), stream.size()));
-      const double ingest_s = SecondsSince(start);
+      // One column per recorded figure, one value per rep; each rep runs
+      // on a fresh ring.
+      enum Column {
+        kIngest, kAdvance, kQ1, kQHalf, kQFull, kQ1Cold, kQHalfCold,
+        kQFullCold, kQ1Raw, kQHalfRaw, kQFullRaw, kQFullAll, kNumColumns
+      };
+      std::vector<double> cols[kNumColumns];
+      for (int rep = 0; rep < kThroughputReps; ++rep) {
+        WindowedSpaceSaving sketch(opt);
 
-      // Isolated advance cost: close epochs beyond the stream (empty
-      // epochs still pay ring rotation; with decay they pay the
-      // accumulator scale + fold).
-      const int kAdvances = 64;
-      start = Clock::now();
-      for (int i = 0; i < kAdvances; ++i) sketch.Advance();
-      const double advance_s = SecondsSince(start);
+        Clock::time_point start = Clock::now();
+        sketch.UpdateBatch(Span<const uint64_t>(stream.data(), stream.size()));
+        const double ingest_s = SecondsSince(start);
 
-      // Decayed mass is preserved exactly by the accumulator: epoch e's
-      // rows count 2^-(T - e)/half_life as of the open epoch T.
-      if (decay == 1) {
-        const double T = static_cast<double>(sketch.CurrentEpoch());
-        double truth = 0.0;
-        for (size_t e = 0; e * opt.rows_per_epoch < stream.size(); ++e) {
-          const size_t in_epoch = std::min<size_t>(
-              opt.rows_per_epoch, stream.size() - e * opt.rows_per_epoch);
-          truth += static_cast<double>(in_epoch) *
-                   std::exp2(-(T - static_cast<double>(e)) /
-                             opt.half_life_epochs);
+        // Isolated advance cost: close epochs beyond the stream (empty
+        // epochs still pay ring rotation; with decay they pay the
+        // accumulator scale + fold).
+        const int kAdvances = 64;
+        start = Clock::now();
+        for (int i = 0; i < kAdvances; ++i) sketch.Advance();
+        const double advance_s = SecondsSince(start);
+
+        // Decayed mass is preserved exactly by the accumulator: epoch e's
+        // rows count 2^-(T - e)/half_life as of the open epoch T.
+        if (decay == 1) {
+          const double T = static_cast<double>(sketch.CurrentEpoch());
+          double truth = 0.0;
+          for (size_t e = 0; e * opt.rows_per_epoch < stream.size(); ++e) {
+            const size_t in_epoch = std::min<size_t>(
+                opt.rows_per_epoch, stream.size() - e * opt.rows_per_epoch);
+            truth += static_cast<double>(in_epoch) *
+                     std::exp2(-(T - static_cast<double>(e)) /
+                               opt.half_life_epochs);
+          }
+          const double total = sketch.QueryDecayed().TotalWeight();
+          if (!(std::fabs(total - truth) <= 1e-9 * truth)) {
+            std::printf(
+                "FAIL: decayed total %.17g != analytic %.17g at W=%lld\n",
+                total, truth, static_cast<long long>(W));
+            ++failures;
+          }
         }
-        const double total = sketch.QueryDecayed().TotalWeight();
-        if (!(std::fabs(total - truth) <= 1e-9 * truth)) {
-          std::printf(
-              "FAIL: decayed total %.17g != analytic %.17g at W=%lld\n",
-              total, truth, static_cast<long long>(W));
+
+        // The first cached query of each last_k is cold: it builds the
+        // merge-tree nodes the later ones reuse (at W=256 it costs over
+        // ten warm queries), so it is timed on its own and the warm mean
+        // leaves it out. `all` is the mean over every query, cold one
+        // included.
+        struct QueryTimes {
+          double cold = 0, warm = 0, all = 0;
+        };
+        auto time_query = [&](size_t last_k, bool cached, int64_t reps) {
+          const Clock::time_point q = Clock::now();
+          Clock::time_point first_done = q;
+          int64_t sink = 0;
+          for (int64_t i = 0; i < reps; ++i) {
+            const uint64_t seed = opt.seed + static_cast<uint64_t>(i);
+            sink += (cached ? sketch.QueryWindow(last_k,
+                                                 static_cast<size_t>(m), seed)
+                            : sketch.QueryWindowUncached(
+                                  last_k, static_cast<size_t>(m), seed))
+                        .TotalCount();
+            if (i == 0) first_done = Clock::now();
+          }
+          const Clock::time_point done = Clock::now();
+          if (sink == -1) std::printf("?");  // keep the merges live
+          QueryTimes t;
+          t.cold = std::chrono::duration<double>(first_done - q).count();
+          const double rest =
+              std::chrono::duration<double>(done - first_done).count();
+          t.all = (t.cold + rest) / static_cast<double>(reps);
+          t.warm = reps > 1 ? rest / static_cast<double>(reps - 1) : t.cold;
+          return t;
+        };
+        // Uncached re-merges are the expensive reference path: a few reps
+        // bound the sweep's wall clock without blurring the comparison.
+        const int64_t raw_reps = std::max<int64_t>(1, queries / 8);
+        const size_t half = static_cast<size_t>(W) / 2;
+        const size_t full = static_cast<size_t>(W);
+        const QueryTimes q1 = time_query(1, /*cached=*/true, queries);
+        const QueryTimes qh = time_query(half, /*cached=*/true, queries);
+        const QueryTimes qw = time_query(full, /*cached=*/true, queries);
+
+        cols[kIngest].push_back(static_cast<double>(stream.size()) /
+                                ingest_s / 1e6);
+        cols[kAdvance].push_back(advance_s / kAdvances * 1e6);
+        cols[kQ1].push_back(q1.warm * 1e6);
+        cols[kQHalf].push_back(qh.warm * 1e6);
+        cols[kQFull].push_back(qw.warm * 1e6);
+        cols[kQ1Cold].push_back(q1.cold * 1e6);
+        cols[kQHalfCold].push_back(qh.cold * 1e6);
+        cols[kQFullCold].push_back(qw.cold * 1e6);
+        cols[kQFullAll].push_back(qw.all * 1e6);
+        cols[kQ1Raw].push_back(
+            time_query(1, /*cached=*/false, raw_reps).all * 1e6);
+        cols[kQHalfRaw].push_back(
+            time_query(half, /*cached=*/false, raw_reps).all * 1e6);
+        cols[kQFullRaw].push_back(
+            time_query(full, /*cached=*/false, raw_reps).all * 1e6);
+
+        // The cache must be an optimization, never a semantic change:
+        // cached and uncached answers are bit-identical on the same state.
+        if (rep == 0 &&
+            sketch.QueryWindow(full, static_cast<size_t>(m), opt.seed)
+                    .Entries() !=
+                sketch.QueryWindowUncached(full, static_cast<size_t>(m),
+                                           opt.seed)
+                    .Entries()) {
+          std::printf("FAIL: cached != uncached QueryWindow at W=%lld\n",
+                      static_cast<long long>(W));
           ++failures;
         }
       }
 
-      // The first cached query of each last_k is cold: it builds the
-      // merge-tree nodes the later ones reuse (at W=256 it costs over ten
-      // warm queries), so it is timed on its own and the warm mean leaves
-      // it out. `all` is the mean over every query, cold one included.
-      struct QueryTimes {
-        double cold = 0, warm = 0, all = 0;
-      };
-      auto time_query = [&](size_t last_k, bool cached, int64_t reps) {
-        const Clock::time_point q = Clock::now();
-        Clock::time_point first_done = q;
-        int64_t sink = 0;
-        for (int64_t i = 0; i < reps; ++i) {
-          const uint64_t seed = opt.seed + static_cast<uint64_t>(i);
-          sink += (cached ? sketch.QueryWindow(last_k,
-                                               static_cast<size_t>(m), seed)
-                          : sketch.QueryWindowUncached(
-                                last_k, static_cast<size_t>(m), seed))
-                      .TotalCount();
-          if (i == 0) first_done = Clock::now();
-        }
-        const Clock::time_point done = Clock::now();
-        if (sink == -1) std::printf("?");  // keep the merges live
-        QueryTimes t;
-        t.cold = std::chrono::duration<double>(first_done - q).count();
-        const double rest =
-            std::chrono::duration<double>(done - first_done).count();
-        t.all = (t.cold + rest) / static_cast<double>(reps);
-        t.warm = reps > 1 ? rest / static_cast<double>(reps - 1) : t.cold;
-        return t;
-      };
-      // Uncached re-merges are the expensive reference path: a few reps
-      // bound the sweep's wall clock without blurring the comparison.
-      const int64_t raw_reps = std::max<int64_t>(1, queries / 8);
-      const QueryTimes q1 = time_query(1, /*cached=*/true, queries);
-      const QueryTimes qh =
-          time_query(static_cast<size_t>(W) / 2, /*cached=*/true, queries);
-      const QueryTimes qw =
-          time_query(static_cast<size_t>(W), /*cached=*/true, queries);
-      const double q1_raw = time_query(1, /*cached=*/false, raw_reps).all;
-      const double qh_raw = time_query(static_cast<size_t>(W) / 2,
-                                       /*cached=*/false, raw_reps)
-                                .all;
-      const double qw_raw =
-          time_query(static_cast<size_t>(W), /*cached=*/false, raw_reps).all;
-
-      // The cache must be an optimization, never a semantic change:
-      // cached and uncached answers are bit-identical on the same state.
-      const auto cached_entries =
-          sketch.QueryWindow(static_cast<size_t>(W), static_cast<size_t>(m),
-                             opt.seed)
-              .Entries();
-      const auto raw_entries =
-          sketch
-              .QueryWindowUncached(static_cast<size_t>(W),
-                                   static_cast<size_t>(m), opt.seed)
-              .Entries();
-      if (cached_entries != raw_entries) {
-        std::printf("FAIL: cached != uncached QueryWindow at W=%lld\n",
-                    static_cast<long long>(W));
-        ++failures;
-      }
-
-      const double mrows =
-          static_cast<double>(stream.size()) / ingest_s / 1e6;
-      const double adv_us = advance_s / kAdvances * 1e6;
-      std::printf("%-8lld %-7s %14.2f %14.2f %12.1f %12.1f %12.1f %14.1f\n",
-                  static_cast<long long>(W), decay ? "on" : "off", mrows,
-                  adv_us, q1.warm * 1e6, qh.warm * 1e6, qw.warm * 1e6,
-                  qw_raw * 1e6);
+      bench::Spread spread[kNumColumns];
+      for (int c = 0; c < kNumColumns; ++c) spread[c] = bench::SpreadOf(cols[c]);
+      std::printf(
+          "%-8lld %-7s %6.2f [%5.2f-%5.2f] %14.2f %12.1f %12.1f %12.1f "
+          "%14.1f\n",
+          static_cast<long long>(W), decay ? "on" : "off",
+          spread[kIngest].median, spread[kIngest].min, spread[kIngest].max,
+          spread[kAdvance].median, spread[kQ1].median, spread[kQHalf].median,
+          spread[kQFull].median, spread[kQFullRaw].median);
       if (json.enabled()) {
         json.BeginRecord("window_throughput");
         json.Add("window_epochs", W);
@@ -375,23 +392,25 @@ int Run(int argc, char** argv) {
         json.Add("rows", static_cast<int64_t>(stream.size()));
         json.Add("bins", m);
         json.Add("rows_per_epoch", static_cast<int64_t>(opt.rows_per_epoch));
-        json.Add("ingest_mrows_per_s", mrows);
-        json.Add("advance_us", adv_us);
-        json.Add("query_last1_us", q1.warm * 1e6);
-        json.Add("query_half_us", qh.warm * 1e6);
-        json.Add("query_full_us", qw.warm * 1e6);
-        json.Add("query_last1_cold_us", q1.cold * 1e6);
-        json.Add("query_half_cold_us", qh.cold * 1e6);
-        json.Add("query_full_cold_us", qw.cold * 1e6);
-        json.Add("query_last1_uncached_us", q1_raw * 1e6);
-        json.Add("query_half_uncached_us", qh_raw * 1e6);
-        json.Add("query_full_uncached_us", qw_raw * 1e6);
+        json.Add("reps", static_cast<int64_t>(kThroughputReps));
+        json.Add("ingest_mrows_per_s", spread[kIngest]);
+        json.Add("advance_us", spread[kAdvance]);
+        json.Add("query_last1_us", spread[kQ1]);
+        json.Add("query_half_us", spread[kQHalf]);
+        json.Add("query_full_us", spread[kQFull]);
+        json.Add("query_last1_cold_us", spread[kQ1Cold]);
+        json.Add("query_half_cold_us", spread[kQHalfCold]);
+        json.Add("query_full_cold_us", spread[kQFullCold]);
+        json.Add("query_last1_uncached_us", spread[kQ1Raw]);
+        json.Add("query_half_uncached_us", spread[kQHalfRaw]);
+        json.Add("query_full_uncached_us", spread[kQFullRaw]);
       }
-      if (smoke && qw.all > qw_raw) {
+      if (smoke && spread[kQFullAll].median > spread[kQFullRaw].median) {
         std::printf(
             "FAIL: cached query_full (%.1f us) slower than uncached "
             "(%.1f us) at W=%lld\n",
-            qw.all * 1e6, qw_raw * 1e6, static_cast<long long>(W));
+            spread[kQFullAll].median, spread[kQFullRaw].median,
+            static_cast<long long>(W));
         ++failures;
       }
     }

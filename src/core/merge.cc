@@ -228,23 +228,59 @@ WeightedSpaceSaving Merge(const WeightedSpaceSaving& a,
   return WeightedSketchFromEntries(std::move(combined), capacity, seed);
 }
 
-UnbiasedSpaceSaving MergeAll(
-    const std::vector<const UnbiasedSpaceSaving*>& sketches, size_t capacity,
-    uint64_t seed) {
-  DSKETCH_CHECK(!sketches.empty());
+namespace {
+
+// Every part's labeled bins, read in place into one buffer, in part
+// order. The reduction canonicalizes the order, so it only has to be
+// deterministic.
+template <typename Sketch, typename Entry>
+std::vector<Entry> GatherEntries(const std::vector<const Sketch*>& parts) {
+  DSKETCH_CHECK(!parts.empty());
   size_t total = 0;
-  for (const UnbiasedSpaceSaving* s : sketches) {
+  for (const Sketch* s : parts) {
     DSKETCH_CHECK(s != nullptr);
     total += s->size();
   }
-  std::vector<SketchEntry> combined;
-  combined.reserve(total);
-  for (const UnbiasedSpaceSaving* s : sketches) {
-    const std::vector<SketchEntry> entries = s->Entries();
-    combined.insert(combined.end(), entries.begin(), entries.end());
+  std::vector<Entry> out;
+  out.reserve(total);
+  for (const Sketch* s : parts) {
+    s->ForEachEntry([&out](uint64_t item, auto value) {
+      out.push_back({item, value});
+      return true;
+    });
   }
-  CombineByItem(combined);
+  return out;
+}
+
+}  // namespace
+
+UnbiasedSpaceSaving MergeAll(
+    const std::vector<const UnbiasedSpaceSaving*>& sketches, size_t capacity,
+    uint64_t seed, PartLabels labels) {
+  std::vector<SketchEntry> combined =
+      GatherEntries<UnbiasedSpaceSaving, SketchEntry>(sketches);
+  if (labels == PartLabels::kMayRepeat) CombineByItem(combined);
   return SketchFromEntries(std::move(combined), capacity, seed);
+}
+
+WeightedSpaceSaving MergeAll(
+    const std::vector<const WeightedSpaceSaving*>& sketches, size_t capacity,
+    uint64_t seed, PartLabels labels) {
+  std::vector<WeightedEntry> combined =
+      GatherEntries<WeightedSpaceSaving, WeightedEntry>(sketches);
+  if (labels == PartLabels::kMayRepeat) {
+    // A label's weights are summed in part order.
+    std::unordered_map<uint64_t, double> sums;
+    for (const WeightedEntry& e : combined) sums[e.item] += e.weight;
+    combined.clear();
+    for (const auto& [item, weight] : sums) combined.push_back({item, weight});
+  }
+  combined.erase(std::remove_if(combined.begin(), combined.end(),
+                                [](const WeightedEntry& e) {
+                                  return !(e.weight > 0.0);
+                                }),
+                 combined.end());
+  return WeightedSketchFromEntries(std::move(combined), capacity, seed);
 }
 
 }  // namespace dsketch

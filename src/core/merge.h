@@ -18,13 +18,17 @@
 //                          the deterministic sketches; biased downward but
 //                          deterministic-guarantee preserving.
 //
-// Combining is sort-based: the integer-count merges concatenate their
-// inputs' entries, sort them by label and sum adjacent duplicates
-// (CombineByItem). That sort, the canonical (count, item) sort before a
-// reduction, and LoadEntries' sort all go through core/entry_order's
-// radix SortEntries. Labels are distinct after combining, so (count,
-// item) is a total order and the reduction's RNG draws follow from the
-// entry multiset and the seed alone.
+// A multi-way merge copies every part's bins, in place, into one
+// buffer. When the parts can share a label, the integer-count merges
+// then sort the buffer by label and sum adjacent duplicates
+// (CombineByItem); parts that are known to be label-disjoint, such as a
+// hash-partitioned shard fleet, skip that step (PartLabels::kDisjoint).
+// The label sort, the canonical (count, item) sort before a reduction,
+// and LoadEntries' sort all go through core/entry_order's radix
+// SortEntries. Labels are distinct once combined, so (count, item) is a
+// total order and the reduction's RNG draws follow from the entry
+// multiset and the seed alone: skipping the combine for disjoint parts
+// changes no output byte.
 
 #ifndef DSKETCH_CORE_MERGE_H_
 #define DSKETCH_CORE_MERGE_H_
@@ -40,6 +44,12 @@
 #include "util/random.h"
 
 namespace dsketch {
+
+/// Whether the parts of a multi-way merge can share a label.
+enum class PartLabels {
+  kMayRepeat,  ///< any parts: duplicate labels are summed before reducing
+  kDisjoint,   ///< no label is in two parts (the caller guarantees it)
+};
 
 /// Concatenates two entry sets, summing counts of duplicate labels. The
 /// result is in label order, one entry per label.
@@ -97,9 +107,19 @@ DeterministicSpaceSaving Merge(const DeterministicSpaceSaving& a,
 
 /// Unbiased merge of many sketches (fold with a single final reduction —
 /// combines all entries first, then reduces once, which adds less noise
-/// than repeated binary merges).
-UnbiasedSpaceSaving MergeAll(const std::vector<const UnbiasedSpaceSaving*>& sketches,
-                             size_t capacity, uint64_t seed = 1);
+/// than repeated binary merges). With PartLabels::kDisjoint the entries
+/// go to the reduction without the label combine; the result is the
+/// same, byte for byte, as long as no label is in two sketches.
+UnbiasedSpaceSaving MergeAll(
+    const std::vector<const UnbiasedSpaceSaving*>& sketches, size_t capacity,
+    uint64_t seed = 1, PartLabels labels = PartLabels::kMayRepeat);
+
+/// Weighted analogue of MergeAll: sums the weights of duplicate labels
+/// (unless kDisjoint), drops bins without positive weight, then one
+/// ReducePairwiseWeighted reduction. Preserves the total weight.
+WeightedSpaceSaving MergeAll(
+    const std::vector<const WeightedSpaceSaving*>& sketches, size_t capacity,
+    uint64_t seed = 1, PartLabels labels = PartLabels::kMayRepeat);
 
 /// Real-valued analogue of ReducePairwise for weighted entries: unbiased,
 /// preserves the total weight exactly (up to fp rounding).

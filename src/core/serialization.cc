@@ -9,6 +9,7 @@
 #include "core/serialization.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -251,14 +252,21 @@ std::optional<UnbiasedSpaceSaving> DecodeUnbiasedV2(VarintReader& reader,
 // Weighted codec.
 // ---------------------------------------------------------------------
 
+// Every weight and the total they sum to (in LoadEntries' order) must be
+// finite and non-negative: an infinite mass would make every estimate
+// and error bar that reads this sketch infinite.
 std::optional<WeightedSpaceSaving> LoadWeightedEntries(
     uint64_t capacity, const std::vector<WeightedEntry>& entries,
     uint64_t seed) {
   std::unordered_set<uint64_t> seen;
+  double total = 0.0;
   for (const WeightedEntry& e : entries) {
-    if (!(e.weight >= 0.0)) return std::nullopt;  // rejects NaN too
+    // Rejects NaN and negative weights too.
+    if (!(e.weight >= 0.0 && std::isfinite(e.weight))) return std::nullopt;
     if (!seen.insert(e.item).second) return std::nullopt;  // duplicate label
+    total += e.weight;
   }
+  if (!std::isfinite(total)) return std::nullopt;
   WeightedSpaceSaving sketch(static_cast<size_t>(capacity), seed);
   sketch.LoadEntries(entries);
   return sketch;

@@ -65,6 +65,16 @@ class WeightedSpaceSaving {
   /// Labeled bins in descending weight order.
   std::vector<WeightedEntry> Entries() const;
 
+  /// Calls `visit(item, weight)` on each labeled bin in place, in heap
+  /// order (not Entries() order), and stops as soon as `visit` returns
+  /// false.
+  template <typename Visit>
+  void ForEachEntry(Visit&& visit) const {
+    for (const HeapNode& node : heap_) {
+      if (!visit(items_[node.id], node.weight)) return;
+    }
+  }
+
   /// Multiplies every bin weight (and the running total) by `factor` > 0.
   /// Used by time-decayed aggregation to renormalize counters.
   void Scale(double factor);

@@ -57,9 +57,16 @@ class ShardedSketchSource final : public SketchSource {
         snapshot_(merged_capacity, merge_seed) {}
 
   /// Feeds a batch of disaggregated rows (unit-of-analysis labels).
-  void Ingest(Span<const uint64_t> items) {
+  /// Returns false, ingesting nothing, when the batch would carry the
+  /// total count past INT64_MAX.
+  bool Ingest(Span<const uint64_t> items) {
+    if (items.size() > static_cast<uint64_t>(INT64_MAX - total_)) {
+      return false;
+    }
     sharded_.Ingest(items);
+    total_ += static_cast<int64_t>(items.size());
     dirty_ = true;
+    return true;
   }
 
   /// Blocks until every ingested row has reached its shard sketch.
@@ -81,9 +88,17 @@ class ShardedSketchSource final : public SketchSource {
   /// Routes a serialized sketch (any supported wire version) into the
   /// shard fleet as an absorbed remote sketch; the next View() merges it
   /// with the locally ingested rows. Returns false — leaving the state
-  /// untouched — on malformed bytes.
+  /// untouched — on malformed bytes, and on a sketch whose total would
+  /// carry the total count past INT64_MAX.
   bool RestoreSnapshot(std::string_view bytes) {
-    if (!sharded_.IngestSerialized(bytes)) return false;
+    int64_t added = 0;
+    if (!sharded_.IngestSerialized(bytes, [&](const UnbiasedSpaceSaving& s) {
+          added = s.TotalCount();
+          return added <= INT64_MAX - total_;
+        })) {
+      return false;
+    }
+    total_ += added;
     dirty_ = true;
     return true;
   }
@@ -97,6 +112,9 @@ class ShardedSketchSource final : public SketchSource {
   uint64_t merge_seed_;
   UnbiasedSpaceSaving snapshot_;
   bool dirty_ = false;
+  // Rows ingested plus the absorbed sketches' totals: the fleet's total
+  // count, kept without a flush so every addition is checked first.
+  int64_t total_ = 0;
 };
 
 }  // namespace dsketch

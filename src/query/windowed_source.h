@@ -177,7 +177,8 @@ class WindowedSketchSource final : public SketchSource {
       merged_.emplace(ring);
     }
     span.Annotate("epochs_remerged",
-                  MergeShardsFrom(parts, final_below_, *merged_));
+                  MergeShardsFrom(parts, final_below_, *merged_,
+                                  sharded_->part_labels()));
     // The producer epoch is authoritative: open it even if no shard saw
     // rows for it yet.
     merged_->AdvanceTo(epoch_);

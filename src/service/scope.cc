@@ -64,7 +64,10 @@ class CountsScope : public Scope {
         engine_(&source_, &TableOrEmpty(attrs)) {}
 
   Status Ingest(const IngestBatchRequest& req) override {
-    source_.Ingest(Span<const uint64_t>(req.items.data(), req.items.size()));
+    if (!source_.Ingest(
+            Span<const uint64_t>(req.items.data(), req.items.size()))) {
+      return Status::kTooLarge;  // the total count would pass INT64_MAX
+    }
     rows_ += req.items.size();
     return Status::kOk;
   }

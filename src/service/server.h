@@ -28,6 +28,12 @@
 // and are served by both. Replication rides the snapshot codecs: RESTORE
 // absorbs a peer's SNAPSHOT next to local rows.
 //
+// Domains: the counts scope's total (rows ingested plus absorbed
+// totals) stays <= INT64_MAX. An INGEST that would pass it answers
+// kTooLarge and a RESTORE kBadState; neither changes the state. Restored
+// weighted masses (the weighted scope, a window ring's decayed
+// accumulator) must be finite, and so must their per-blob total.
+//
 // Threading: one thread drives HandleRequest/Serve (the shard fleets fan
 // work out across their own workers); run a server per connection and
 // let them exchange snapshots.

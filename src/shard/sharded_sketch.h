@@ -10,7 +10,11 @@
 // the stream (Theorem 2), Snapshot() — merge of the per-shard sketches —
 // gives unbiased subset-sum estimates over the full stream, and every
 // downstream estimator (subset sums, CIs, top-k, the query engine) works
-// on it unchanged.
+// on it unchanged. The partition also means no two shards hold the same
+// label, so Snapshot() reads each shard's bins in place and skips the
+// merge's label combine (PartLabels::kDisjoint); only an absorbed remote
+// can repeat a label, and with one present the combine runs. Either way
+// the merged bytes equal MergeAll over Parts().
 //
 // Determinism: with a fixed options.seed, the partition, the per-shard
 // streams (single producer preserves order within a shard), the per-shard
@@ -45,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/merge.h"
 #include "core/serialization.h"
 #include "core/unbiased_space_saving.h"
 #include "core/weighted_space_saving.h"
@@ -83,24 +88,19 @@ inline obs::Histogram& SnapshotMergeUs() {
 
 }  // namespace shard_metrics
 
-/// Unbiased merge of per-shard sketches (single final pairwise-PPS
-/// reduction over all entries, as in MergeAll). Takes pointers so callers
+/// Unbiased merge of a fleet's parts: MergeAll (core/merge.h), one final
+/// pairwise-PPS reduction over all entries. Takes pointers so callers
 /// merge sketches they cannot or need not copy, e.g. ShardedSketch's
-/// absorbed remote snapshots.
+/// absorbed remote snapshots. `labels` is the fleet's part_labels().
 UnbiasedSpaceSaving MergeShards(
     const std::vector<const UnbiasedSpaceSaving*>& shards, size_t capacity,
-    uint64_t seed);
+    uint64_t seed, PartLabels labels = PartLabels::kMayRepeat);
 
-/// Unbiased merge of weighted per-shard sketches (combine duplicate
-/// labels, then one ReducePairwiseWeighted reduction — real-valued
-/// analogue of the integer shard merge; preserves the total weight).
-WeightedSpaceSaving MergeShards(const std::vector<WeightedSpaceSaving>& shards,
-                                size_t capacity, uint64_t seed);
-
-/// Pointer form of the weighted merge.
+/// Weighted form: the weighted MergeAll, which preserves the total
+/// weight.
 WeightedSpaceSaving MergeShards(
     const std::vector<const WeightedSpaceSaving*>& shards, size_t capacity,
-    uint64_t seed);
+    uint64_t seed, PartLabels labels = PartLabels::kMayRepeat);
 
 /// Row type a shard inbox carries for sketch type `S`, and how the
 /// partitioner extracts the routing label from one row. Integer-count
@@ -129,8 +129,9 @@ struct ShardedSketchOptions {
 
 /// Concurrent sharded front-end over sketch type `S`. `S` must provide
 /// S(capacity, seed), UpdateBatch(Span<const ShardRow<S>::Type>), a
-/// MergeShards(const std::vector<const S*>&, capacity, seed) overload,
-/// and a SketchWire<S> specialization for snapshot replication.
+/// MergeShards(const std::vector<const S*>&, capacity, seed, PartLabels)
+/// overload, and a SketchWire<S> specialization for snapshot
+/// replication.
 template <typename S>
 class ShardedSketch {
  public:
@@ -237,15 +238,24 @@ class ShardedSketch {
     return parts;
   }
 
+  /// Whether the fleet's parts can share a label. The local shards
+  /// cannot: ShardOf routes every label to one shard, and a sketch holds
+  /// a label at most once. Only an absorbed remote can repeat a label,
+  /// so merges skip the label combine until the first IngestSerialized.
+  PartLabels part_labels() const {
+    return remotes_.empty() ? PartLabels::kDisjoint : PartLabels::kMayRepeat;
+  }
+
   /// Flushes, then merges the per-shard sketches into one sketch with
   /// `capacity` bins. Estimates from the result are unbiased (Theorem 2);
-  /// deterministic given the ingested stream and seeds.
+  /// deterministic given the ingested stream and seeds, and equal byte
+  /// for byte to MergeAll over Parts().
   S Snapshot(size_t capacity, uint64_t seed = 1) {
     obs::ScopedTimer merge_timer(shard_metrics::SnapshotMergeUs());
     // Parts() flushes, nesting its shard_drain span under this one.
     obs::ScopedSpan span("snapshot_merge", obs::TraceLayer::kShard);
     span.Annotate("shards", shards_.size());
-    return MergeShards(Parts(), capacity, seed);
+    return MergeShards(Parts(), capacity, seed, part_labels());
   }
 
   /// Flushes, then sums the shards' and absorbed remotes' totals: equal
@@ -268,13 +278,19 @@ class ShardedSketch {
   /// sketch's state: the decoded sketch joins the shard set, and
   /// Snapshot() merges it with the locally ingested rows under the same
   /// unbiased reduction. Call from the producer thread only. Returns
-  /// false (leaving the state untouched) on malformed bytes.
-  bool IngestSerialized(std::string_view bytes) {
+  /// false (leaving the state untouched) on malformed bytes, and on
+  /// a decoded sketch that `admit(const S&)` refuses.
+  template <typename Admit>
+  bool IngestSerialized(std::string_view bytes, Admit admit) {
     std::optional<S> restored = SketchWire<S>::Deserialize(
         bytes, options_.seed + num_shards() + remotes_.size());
-    if (!restored.has_value()) return false;
+    if (!restored.has_value() || !admit(*restored)) return false;
     remotes_.push_back(std::move(*restored));
     return true;
+  }
+
+  bool IngestSerialized(std::string_view bytes) {
+    return IngestSerialized(bytes, [](const S&) { return true; });
   }
 
   /// Sketches absorbed via IngestSerialized so far.

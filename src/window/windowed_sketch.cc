@@ -5,7 +5,8 @@
 namespace dsketch {
 
 size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
-                       uint64_t from, WindowedSpaceSaving& merged) {
+                       uint64_t from, WindowedSpaceSaving& merged,
+                       PartLabels labels) {
   DSKETCH_CHECK(!shards.empty());
   const WindowedSketchOptions& opt = merged.options();
 
@@ -60,7 +61,8 @@ size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
                         UnbiasedSpaceSaving(opt.epoch_capacity, opt.seed + e));
     } else {
       tail.emplace_back(e,
-                        MergeShards(parts, opt.epoch_capacity, opt.seed + e));
+                        MergeShards(parts, opt.epoch_capacity, opt.seed + e,
+                                    labels));
     }
   }
   const size_t remerged = tail.size();
@@ -99,13 +101,13 @@ size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
 
 WindowedSpaceSaving MergeShards(
     const std::vector<const WindowedSpaceSaving*>& shards,
-    size_t epoch_capacity, uint64_t seed) {
+    size_t epoch_capacity, uint64_t seed, PartLabels labels) {
   DSKETCH_CHECK(!shards.empty());
   WindowedSketchOptions opt = shards.front()->options();
   opt.epoch_capacity = epoch_capacity;
   opt.seed = seed;
   WindowedSpaceSaving out(opt);
-  MergeShardsFrom(shards, 0, out);
+  MergeShardsFrom(shards, 0, out, labels);
   return out;
 }
 

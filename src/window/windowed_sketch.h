@@ -678,15 +678,19 @@ using WindowedSpaceSaving = WindowedSketch<UnbiasedSpaceSaving>;
 /// ShardedSketch<WindowedSpaceSaving>::Snapshot() is epoch-consistent:
 /// the merged ring answers window queries exactly as one windowed sketch
 /// over the whole stream would. Returns the number of epochs re-merged.
+/// `labels` is the fleet's part_labels(): one fleet's shards route every
+/// label to one shard, so their epoch-e sketches share no label either.
 size_t MergeShardsFrom(const std::vector<const WindowedSpaceSaving*>& shards,
-                       uint64_t from, WindowedSpaceSaving& merged);
+                       uint64_t from, WindowedSpaceSaving& merged,
+                       PartLabels labels = PartLabels::kMayRepeat);
 
 /// Full epoch-aligned merge: MergeShardsFrom(shards, 0, ·) into a new
 /// ring with the first shard's options, `epoch_capacity` bins per epoch
 /// and seed `seed`.
 WindowedSpaceSaving MergeShards(
     const std::vector<const WindowedSpaceSaving*>& shards,
-    size_t epoch_capacity, uint64_t seed);
+    size_t epoch_capacity, uint64_t seed,
+    PartLabels labels = PartLabels::kMayRepeat);
 
 /// Value form of the windowed merge.
 WindowedSpaceSaving MergeShards(const std::vector<WindowedSpaceSaving>& shards,

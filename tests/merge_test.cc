@@ -521,6 +521,42 @@ TEST(MergeBytesPinTest, MergeOutputsAreBitStable) {
     }
   }
 
+  // Local-only fleets at 1, 2 and 32 shards: no absorbed remote, so the
+  // parts share no label. Merged over capacity (a reduction runs) and
+  // under it (the entries load as they are).
+  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{32}}) {
+    ShardedSketchOptions opt;
+    opt.num_shards = num_shards;
+    opt.shard_capacity = 128;
+    opt.seed = 60 + num_shards;
+    ShardedSpaceSaving sharded(opt);
+    const std::vector<uint64_t> rows = SkewedRows(200 + num_shards, 40000);
+    sharded.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+    const std::string label =
+        "merge_shards_local_" + std::to_string(num_shards);
+    blobs.push_back({label + "_over", Serialize(sharded.Snapshot(100, 16))});
+    blobs.push_back({label + "_under", Serialize(sharded.Snapshot(8192, 17))});
+  }
+
+  // The same local-only fleets over weighted rows.
+  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{32}}) {
+    ShardedSketchOptions opt;
+    opt.num_shards = num_shards;
+    opt.shard_capacity = 128;
+    opt.seed = 70 + num_shards;
+    ShardedWeightedSpaceSaving sharded(opt);
+    Rng weights(300 + num_shards);
+    std::vector<WeightedEntry> rows;
+    for (uint64_t item : SkewedRows(300 + num_shards, 40000)) {
+      rows.push_back({item, 0.5 + weights.NextDouble()});
+    }
+    sharded.Ingest(Span<const WeightedEntry>(rows.data(), rows.size()));
+    const std::string label =
+        "merge_shards_weighted_local_" + std::to_string(num_shards);
+    blobs.push_back({label + "_over", Serialize(sharded.Snapshot(100, 18))});
+    blobs.push_back({label + "_under", Serialize(sharded.Snapshot(8192, 19))});
+  }
+
   const std::vector<std::pair<std::string, uint64_t>> pinned = {
       {"merge", 0x389d309d77417ba4ull},
       {"merge_small", 0x48e33622c59cac4dull},
@@ -530,6 +566,18 @@ TEST(MergeBytesPinTest, MergeOutputsAreBitStable) {
       {"query_window_1", 0xc15718bf57c5d208ull},
       {"query_window_8", 0x592358810e438523ull},
       {"query_window_0", 0x686617b8fcc3ad0dull},
+      {"merge_shards_local_1_over", 0x287c433f79803400ull},
+      {"merge_shards_local_1_under", 0x5f11a20d28288c61ull},
+      {"merge_shards_local_2_over", 0x301ceaffc65185f4ull},
+      {"merge_shards_local_2_under", 0x2ca098738d952ed7ull},
+      {"merge_shards_local_32_over", 0x1d1052ec42981205ull},
+      {"merge_shards_local_32_under", 0xf496bce4cd1a4e52ull},
+      {"merge_shards_weighted_local_1_over", 0x1947a06afccdd0e0ull},
+      {"merge_shards_weighted_local_1_under", 0x5bc23e0808bac658ull},
+      {"merge_shards_weighted_local_2_over", 0x06bf20bec74cdc3dull},
+      {"merge_shards_weighted_local_2_under", 0xc7419b96f8321f09ull},
+      {"merge_shards_weighted_local_32_over", 0xb3088768dd7c0190ull},
+      {"merge_shards_weighted_local_32_under", 0x993dc6ef2045e38cull},
   };
   ASSERT_EQ(blobs.size(), pinned.size());
   bool all_match = true;

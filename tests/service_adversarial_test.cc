@@ -648,6 +648,86 @@ TEST(ServiceAdversarialTest, HostilePredicatesGetTheReferenceAnswer) {
   }
 }
 
+// Decodes a response body after checking its header carries kOk.
+template <typename Response, typename Decode>
+Response OkBody(const std::string& response, Decode decode) {
+  wire::VarintReader reader(response);
+  ResponseHeader header;
+  EXPECT_TRUE(DecodeResponseHeader(reader, &header));
+  EXPECT_EQ(header.status, Status::kOk);
+  Response out;
+  EXPECT_TRUE(decode(reader, &out));
+  return out;
+}
+
+StatsResponse StatsOf(SketchServer& server) {
+  return OkBody<StatsResponse>(server.HandleRequest(EncodeStatsRequest(90)),
+                               DecodeStatsResponse);
+}
+
+std::string RestoreCounts(const std::vector<SketchEntry>& bins) {
+  UnbiasedSpaceSaving sketch(4, 1);
+  sketch.core().LoadEntries(bins);
+  RestoreRequest req;
+  req.blob = Serialize(sketch);
+  return EncodeRestoreRequest(91, req);
+}
+
+std::string IngestRows(size_t n) {
+  IngestBatchRequest req;
+  req.items.assign(n, 17);
+  return EncodeIngestBatchRequest(92, req);
+}
+
+// The counts total stays within int64. Two valid blobs of 2^62 rows each
+// used to restore side by side, and the total (STATS and every merged
+// view) wrapped to INT64_MIN; UBSan aborted the server there.
+TEST(ServiceAdversarialTest, RestorePastInt64MaxIsRejected) {
+  SketchServer server(SmallOptions());
+  const int64_t half = int64_t{1} << 61;
+  const std::string restore = RestoreCounts({{1, half}, {2, half}});
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(restore)), Status::kOk);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(restore)), Status::kBadState);
+
+  const StatsResponse stats = StatsOf(server);
+  EXPECT_EQ(stats.total_count, 2 * half);
+  EXPECT_EQ(stats.restores, 1u);
+  const QuerySumResponse sum = OkBody<QuerySumResponse>(
+      server.HandleRequest(EncodeQuerySumRequest(93, QuerySumRequest())),
+      DecodeQuerySumResponse);
+  EXPECT_EQ(sum.estimate, std::ldexp(1.0, 62));
+}
+
+// An INGEST that would carry the total past INT64_MAX is refused whole;
+// up to INT64_MAX exactly is fine.
+TEST(ServiceAdversarialTest, IngestPastInt64MaxIsRejected) {
+  SketchServer server(SmallOptions());
+  const int64_t half = int64_t{1} << 62;
+  ASSERT_EQ(ResponseStatus(server.HandleRequest(
+                RestoreCounts({{1, half}, {2, half - 4}}))),
+            Status::kOk);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestRows(4))),
+            Status::kTooLarge);
+  StatsResponse stats = StatsOf(server);
+  EXPECT_EQ(stats.total_count, INT64_MAX - 3);
+  EXPECT_EQ(stats.rows_ingested, 0u);
+
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestRows(3))), Status::kOk);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestRows(1))),
+            Status::kTooLarge);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(RestoreCounts({{3, 1}}))),
+            Status::kBadState);
+  stats = StatsOf(server);
+  EXPECT_EQ(stats.total_count, INT64_MAX);
+  EXPECT_EQ(stats.rows_ingested, 3u);
+  EXPECT_EQ(stats.errors_too_large, 2u);
+  const QuerySumResponse sum = OkBody<QuerySumResponse>(
+      server.HandleRequest(EncodeQuerySumRequest(94, QuerySumRequest())),
+      DecodeQuerySumResponse);
+  EXPECT_TRUE(std::isfinite(sum.estimate));
+  EXPECT_GT(sum.estimate, 0.0);
+}
+
 TEST(ServiceAdversarialTest, HostileFrameLengthPrefixesDropTheConnection) {
   // Claimed length over the cap: rejected before any allocation.
   {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/merge.h"
 #include "core/serialization.h"
 #include "core/subset_sum.h"
 #include "core/unbiased_space_saving.h"
@@ -234,6 +235,51 @@ TEST(ShardedSketchTest, IngestSerializedRejectsMalformedBytes) {
   EXPECT_EQ(fleet.num_absorbed(), 1u);
 }
 
+// Without an absorbed remote the fleet skips the label combine; its
+// snapshot must still equal MergeAll over the same parts (which
+// combines) byte for byte, merged over capacity and under it.
+TEST(ShardedSketchTest, SnapshotEqualsMergeAllOverParts) {
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{32}}) {
+    ShardedSpaceSaving fleet(SmallOptions(shards));
+    Rng rng(100 + shards);
+    std::vector<uint64_t> rows(20000);
+    for (uint64_t& r : rows) r = rng.NextBounded(rng.NextBounded(3000) + 1);
+    fleet.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+    EXPECT_EQ(fleet.part_labels(), PartLabels::kDisjoint);
+    for (size_t capacity : {size_t{48}, size_t{4096}}) {
+      EXPECT_EQ(Serialize(fleet.Snapshot(capacity, 7)),
+                Serialize(MergeAll(fleet.Parts(), capacity, 7)))
+          << shards << " shards, capacity " << capacity;
+    }
+  }
+}
+
+// A remote that repeats a local shard's labels: the merge must sum each
+// label's counts into one bin.
+TEST(ShardedSketchTest, RemoteSharingLocalLabelsIsSummed) {
+  // 100 items over 2 shards of 64 bins: every shard count is exact.
+  std::vector<uint64_t> rows(3000);
+  Rng rng(93);
+  for (uint64_t& r : rows) r = rng.NextBounded(100);
+  std::unordered_map<uint64_t, int64_t> truth;
+  for (uint64_t r : rows) ++truth[r];
+
+  ShardedSpaceSaving fleet(SmallOptions(2));
+  fleet.Ingest(Span<const uint64_t>(rows.data(), rows.size()));
+  fleet.Flush();
+  ASSERT_TRUE(fleet.IngestSerialized(Serialize(fleet.shard(0))));
+  EXPECT_EQ(fleet.part_labels(), PartLabels::kMayRepeat);
+
+  const UnbiasedSpaceSaving merged = fleet.Snapshot(4096, 3);
+  EXPECT_EQ(merged.size(), truth.size());
+  for (const auto& [item, count] : truth) {
+    EXPECT_EQ(merged.EstimateCount(item),
+              fleet.ShardOf(item) == 0 ? 2 * count : count)
+        << item;
+  }
+  EXPECT_EQ(Serialize(merged), Serialize(MergeAll(fleet.Parts(), 4096, 3)));
+}
+
 // ---------------------------------------------------------------------
 // Weighted sharding: (item, weight) rows through the same queues,
 // WeightedSpaceSaving shards, ReducePairwiseWeighted merge.
@@ -368,6 +414,38 @@ TEST(ShardedWeightedSketchTest, SerializedSnapshotRoundTripsIntoFreshFleet) {
   for (const WeightedEntry& e : original.Entries()) {
     EXPECT_DOUBLE_EQ(restored.EstimateWeight(e.item), e.weight);
   }
+}
+
+TEST(ShardedWeightedSketchTest, SnapshotEqualsMergeAllOverParts) {
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{32}}) {
+    ShardedWeightedSpaceSaving fleet(SmallOptions(shards));
+    fleet.Ingest(WeightedRows(400, 20, 200 + shards));
+    EXPECT_EQ(fleet.part_labels(), PartLabels::kDisjoint);
+    for (size_t capacity : {size_t{48}, size_t{4096}}) {
+      EXPECT_EQ(Serialize(fleet.Snapshot(capacity, 7)),
+                Serialize(MergeAll(fleet.Parts(), capacity, 7)))
+          << shards << " shards, capacity " << capacity;
+    }
+  }
+}
+
+TEST(ShardedWeightedSketchTest, RemoteSharingLocalLabelsIsSummed) {
+  // 60 items over 2 shards of 64 bins: every shard weight is exact.
+  ShardedWeightedSpaceSaving fleet(SmallOptions(2));
+  fleet.Ingest(WeightedRows(60, 10, 94));
+  fleet.Flush();
+  ASSERT_TRUE(fleet.IngestSerialized(Serialize(fleet.shard(0))));
+  EXPECT_EQ(fleet.part_labels(), PartLabels::kMayRepeat);
+
+  const WeightedSpaceSaving merged = fleet.Snapshot(4096, 3);
+  EXPECT_EQ(merged.size(), 60u);
+  for (uint64_t item = 0; item < 60; ++item) {
+    const size_t s = fleet.ShardOf(item);
+    const double local = fleet.shard(s).EstimateWeight(item);
+    EXPECT_EQ(merged.EstimateWeight(item), s == 0 ? local + local : local)
+        << item;
+  }
+  EXPECT_EQ(Serialize(merged), Serialize(MergeAll(fleet.Parts(), 4096, 3)));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,6 +37,7 @@ namespace {
 
 // Kind bytes, part of the wire contract (see wire/codec.cc).
 constexpr uint8_t kKindUnbiased = 1;
+constexpr uint8_t kKindWeighted = 3;
 // kWireKindWindowed (7) comes from window/window_wire.h.
 
 struct Blob {
@@ -243,6 +245,75 @@ TEST(WireAdversarialTest, VarintOverflowAndDeltaUnderflowAreRejected) {
     w.PutVarint(0);
   });
   EXPECT_EQ(DecodeAll(duplicate), 0u);
+}
+
+// A weighted blob (kind 3) with one bin per entry of `weights`, at
+// wire version `version`.
+std::string WeightedBlob(uint8_t version, const std::vector<double>& weights) {
+  std::string out;
+  wire::WriteEnvelope(out, kKindWeighted, version);
+  wire::VarintWriter w(out);
+  if (version == 1) {
+    w.PutValue(uint64_t{8});
+    w.PutValue(static_cast<uint32_t>(weights.size()));
+  } else {
+    w.PutVarint(8);
+    w.PutVarint(weights.size());
+  }
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (version == 1) {
+      w.PutValue(uint64_t{7 + i});
+    } else {
+      w.PutVarint(7 + i);
+    }
+    w.PutDouble(weights[i]);
+  }
+  return out;
+}
+
+// A decayed window ring (kind 7) whose accumulator is WeightedBlob(2,
+// weights): one empty epoch slot, decay on.
+std::string WindowedBlobWithDecayed(const std::vector<double>& weights) {
+  const std::string slot = Serialize(UnbiasedSpaceSaving(8, 1));
+  const std::string decayed = WeightedBlob(2, weights);
+  return V2Blob(kWireKindWindowed, [&](wire::VarintWriter& w) {
+    w.PutVarint(4);    // window epochs
+    w.PutVarint(8);    // epoch capacity
+    w.PutVarint(8);    // merged capacity (the accumulator's)
+    w.PutVarint(0);    // rows_per_epoch
+    w.PutDouble(2.0);  // half-life: decay on
+    w.PutVarint(0);    // rows_in_epoch
+    w.PutVarint(0);    // total_rows
+    w.PutVarint(1);    // one slot
+    w.PutVarint(0);    // its epoch
+    w.PutVarint(slot.size());
+    for (char c : slot) w.PutByte(static_cast<uint8_t>(c));
+    w.PutByte(1);  // has a decayed accumulator
+    w.PutVarint(decayed.size());
+    for (char c : decayed) w.PutByte(static_cast<uint8_t>(c));
+  });
+}
+
+// Restored masses must be finite: +inf (or a total that overflows to it)
+// would make every estimate and error bar over the sketch infinite.
+TEST(WireAdversarialTest, NonFiniteWeightsAreRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  // The finite control decodes, so each rejection below is the mass's.
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    EXPECT_TRUE(DeserializeWeighted(WeightedBlob(version, {1.5, 2.5}), 3))
+        << int{version};
+    for (const std::vector<double>& bad :
+         {std::vector<double>{inf}, {1.5, inf}, {max, max}}) {
+      EXPECT_EQ(DecodeAll(WeightedBlob(version, bad)), 0u)
+          << int{version} << " " << bad.back();
+    }
+  }
+  EXPECT_TRUE(DeserializeWindowed(WindowedBlobWithDecayed({1.5, 2.5}), 3));
+  for (const std::vector<double>& bad :
+       {std::vector<double>{inf}, {1.5, inf}, {max, max}}) {
+    EXPECT_EQ(DecodeAll(WindowedBlobWithDecayed(bad)), 0u) << bad.back();
+  }
 }
 
 TEST(WireAdversarialTest, RetiredKindsAreRejected) {
