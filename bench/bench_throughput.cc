@@ -3,30 +3,30 @@
 // the two sweeps behind the batched/sharded ingestion pipeline:
 //
 //   * row_vs_batch   — per-row Update vs UpdateBatch across sketch sizes
-//                      and workload shapes (the batch path's software
-//                      pipelining pays off once the sketch outgrows the
-//                      cache hierarchy);
+//                      (4096 to 10^6 bins, plus 4*10^6 with --full=1) and
+//                      workload shapes;
 //   * batch_size     — UpdateBatch throughput as a function of the batch
 //                      the caller hands over;
 //   * shard_scaling  — ShardedSketch ingest throughput vs shard count
 //                      (bounded by hardware_concurrency, recorded in the
 //                      output's machine record for interpretation);
-//                      median and min-max over kSpreadReps runs;
-//   * micro          — per-sketch single-row update costs (the Unbiased
-//                      Space Saving rows as median and min-max over
-//                      kSpreadReps runs), merge cost, and query cost;
+//   * micro          — per-sketch single-row update costs, merge cost,
+//                      and query cost;
 //   * shard_merge_us — ShardedSketch::Snapshot of 2, 4 and 32
 //                      hash-partitioned 4096-bin shards into 4096 bins
 //                      (the merge behind every fresh served query), Zipf
 //                      1.1 over 1M items; median and min-max over 21
 //                      merges, each fleet checked against MergeAll.
 //
-// Flags: --rows=N stream length, --reps=N repetitions of the best-of rows
-// (max is reported), --json=PATH writes machine-readable baselines (recorded as
-// BENCH_throughput.json by bench/record_baselines.sh). The
-// multi-million-bin configurations run by default (they are where the
-// batch pipeline pays off); pass --full=0 --rows=2000000 --reps=1 for a
-// quick run.
+// Every rows/s figure (row_vs_batch, batch_size, shard_scaling and the
+// update rows of micro) is the median and min-max over --reps runs; a
+// delta smaller than that range is noise.
+//
+// Flags: --rows=N stream length, --reps=N runs behind each median and
+// range (default 7), --json=PATH writes machine-readable baselines
+// (recorded as BENCH_throughput.json by bench/record_baselines.sh).
+// The 4*10^6-bin configurations run by default; pass --full=0
+// --rows=2000000 --reps=1 for a quick run.
 //
 // --smoke replaces the sweeps with a CI correctness gate: a small
 // configuration covering both UpdateBatch bodies (plain and software-
@@ -36,8 +36,8 @@
 // for byte, exiting nonzero otherwise.
 //
 // Every JSON output starts with the "machine" record bench_util.h writes
-// (hardware threads, compiler) and a "params" record (allocator mode,
-// probe ISA) so recorded baselines say what machine state produced them.
+// (hardware threads, compiler) and a "params" record (rows, reps) so
+// recorded baselines say what machine state produced them.
 
 #include <algorithm>
 #include <chrono>
@@ -62,8 +62,6 @@
 #include "stream/distributions.h"
 #include "stream/generators.h"
 #include "util/alias.h"
-#include "util/flat_map.h"
-#include "util/mmap_array.h"
 #include "util/random.h"
 #include "util/span.h"
 
@@ -76,27 +74,11 @@ double Seconds(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Runs `fn` `reps` times and returns the best rows/s (in millions).
+// Median and range of rows/s (in millions) over `reps` runs of `fn`.
 template <typename Fn>
-double BestMrows(size_t rows, int reps, Fn&& fn) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = Clock::now();
-    fn();
-    double mrows = static_cast<double>(rows) / Seconds(t0) / 1e6;
-    if (mrows > best) best = mrows;
-  }
-  return best;
-}
-
-// Runs behind each median-and-range row.
-constexpr int kSpreadReps = 7;
-
-// Median and range of rows/s (in millions) over kSpreadReps runs of `fn`.
-template <typename Fn>
-bench::Spread SpreadMrows(size_t rows, Fn&& fn) {
+bench::Spread SpreadMrows(size_t rows, int reps, Fn&& fn) {
   std::vector<double> mrows;
-  for (int r = 0; r < kSpreadReps; ++r) {
+  for (int r = 0; r < reps; ++r) {
     auto t0 = Clock::now();
     fn();
     mrows.push_back(static_cast<double>(rows) / Seconds(t0) / 1e6);
@@ -112,28 +94,33 @@ struct Workload {
 void RowVsBatchSweep(const std::vector<Workload>& workloads,
                      const std::vector<size_t>& sizes, int reps,
                      bench::JsonSink& sink) {
-  std::printf("\n-- row_vs_batch: per-row Update vs UpdateBatch --\n");
-  std::printf("%-10s %-9s %12s %12s %9s\n", "workload", "m", "row Mrows/s",
-              "batch Mr/s", "speedup");
+  std::printf("\n-- row_vs_batch: per-row Update vs UpdateBatch "
+              "(median Mrows/s, min-max) --\n");
+  std::printf("%-10s %-9s %25s %25s %9s\n", "workload", "m", "row",
+              "batch", "speedup");
   for (const Workload& w : workloads) {
     for (size_t m : sizes) {
-      double row = BestMrows(w.rows.size(), reps, [&] {
+      const bench::Spread row = SpreadMrows(w.rows.size(), reps, [&] {
         UnbiasedSpaceSaving s(m, 2);
         for (uint64_t x : w.rows) s.Update(x);
       });
-      double batch = BestMrows(w.rows.size(), reps, [&] {
+      const bench::Spread batch = SpreadMrows(w.rows.size(), reps, [&] {
         UnbiasedSpaceSaving s(m, 2);
         s.UpdateBatch(w.rows);
       });
-      std::printf("%-10s %-9zu %12.1f %12.1f %8.2fx\n", w.name, m, row,
-                  batch, batch / row);
+      const double speedup = batch.median / row.median;
+      std::printf("%-10s %-9zu %8.1f (%6.1f-%6.1f) %8.1f (%6.1f-%6.1f) "
+                  "%8.2fx\n",
+                  w.name, m, row.median, row.min, row.max, batch.median,
+                  batch.min, batch.max, speedup);
       if (sink.enabled()) {
         sink.BeginRecord("row_vs_batch");
         sink.Add("workload", w.name);
         sink.Add("m", static_cast<int64_t>(m));
+        sink.Add("reps", static_cast<int64_t>(reps));
         sink.Add("row_mrows", row);
         sink.Add("batch_mrows", batch);
-        sink.Add("speedup", batch / row);
+        sink.Add("speedup", speedup);
       }
     }
   }
@@ -143,28 +130,30 @@ void BatchSizeSweep(const Workload& w, size_t m, int reps,
                     bench::JsonSink& sink) {
   std::printf("\n-- batch_size: UpdateBatch chunk size (m=%zu, %s) --\n", m,
               w.name);
-  std::printf("%-10s %12s\n", "batch", "Mrows/s");
+  std::printf("%-10s %12s %17s\n", "batch", "median Mr/s", "(min-max)");
   for (size_t batch : {size_t{64}, size_t{256}, size_t{1024}, size_t{8192},
                        size_t{65536}, w.rows.size()}) {
-    double mrows = BestMrows(w.rows.size(), reps, [&] {
+    const bench::Spread mrows = SpreadMrows(w.rows.size(), reps, [&] {
       UnbiasedSpaceSaving s(m, 2);
       Span<const uint64_t> all(w.rows);
       for (size_t pos = 0; pos < all.size(); pos += batch) {
         s.UpdateBatch(all.subspan(pos, batch));
       }
     });
-    std::printf("%-10zu %12.1f\n", batch, mrows);
+    std::printf("%-10zu %12.1f  (%6.1f-%6.1f)\n", batch, mrows.median,
+                mrows.min, mrows.max);
     if (sink.enabled()) {
       sink.BeginRecord("batch_size");
       sink.Add("workload", w.name);
       sink.Add("m", static_cast<int64_t>(m));
       sink.Add("batch_size", static_cast<int64_t>(batch));
+      sink.Add("reps", static_cast<int64_t>(reps));
       sink.Add("mrows", mrows);
     }
   }
 }
 
-void ShardScalingSweep(const Workload& w, size_t shard_capacity,
+void ShardScalingSweep(const Workload& w, size_t shard_capacity, int reps,
                        bench::JsonSink& sink) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
@@ -175,7 +164,7 @@ void ShardScalingSweep(const Workload& w, size_t shard_capacity,
               "(min-max)", "vs 1shard");
   double base = 0;
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    const bench::Spread mrows = SpreadMrows(w.rows.size(), [&] {
+    const bench::Spread mrows = SpreadMrows(w.rows.size(), reps, [&] {
       ShardedSketchOptions opt;
       opt.num_shards = shards;
       opt.shard_capacity = shard_capacity;
@@ -198,7 +187,7 @@ void ShardScalingSweep(const Workload& w, size_t shard_capacity,
       sink.Add("workload", w.name);
       sink.Add("shards", static_cast<int64_t>(shards));
       sink.Add("shard_capacity", static_cast<int64_t>(shard_capacity));
-      sink.Add("reps", static_cast<int64_t>(kSpreadReps));
+      sink.Add("reps", static_cast<int64_t>(reps));
       sink.Add("mrows", mrows);
       sink.Add("scaling_vs_1shard", mrows.median / base);
     }
@@ -207,60 +196,57 @@ void ShardScalingSweep(const Workload& w, size_t shard_capacity,
 
 void MicroBenches(const Workload& w, int reps, bench::JsonSink& sink) {
   std::printf("\n-- micro: per-row update cost of every sketch --\n");
-  std::printf("%-24s %-8s %12s\n", "sketch", "m", "Mrows/s");
-  auto report = [&](const char* name, size_t m, double mrows) {
-    std::printf("%-24s %-8zu %12.1f\n", name, m, mrows);
+  std::printf("%-24s %-8s %12s %17s\n", "sketch", "m", "median Mr/s",
+              "(min-max)");
+  const std::vector<uint64_t>& rows = w.rows;
+  // Times `fn` (one full pass over `rows`) `reps` times and reports the
+  // median and range.
+  auto report = [&](const char* name, size_t m, auto&& fn) {
+    const bench::Spread mrows = SpreadMrows(rows.size(), reps, fn);
+    std::printf("%-24s %-8zu %12.1f  (%6.1f-%6.1f)\n", name, m, mrows.median,
+                mrows.min, mrows.max);
     if (sink.enabled()) {
       sink.BeginRecord("micro");
       sink.Add("name", name);
       sink.Add("m", static_cast<int64_t>(m));
+      sink.Add("reps", static_cast<int64_t>(reps));
       sink.Add("mrows", mrows);
     }
   };
-  const std::vector<uint64_t>& rows = w.rows;
   for (size_t m : {size_t{100}, size_t{1000}, size_t{10000}}) {
-    const bench::Spread mrows = SpreadMrows(rows.size(), [&] {
+    report("unbiased_update", m, [&] {
       UnbiasedSpaceSaving s(m, 2);
       for (uint64_t x : rows) s.Update(x);
     });
-    std::printf("%-24s %-8zu %12.1f  (%.1f-%.1f, median)\n",
-                "unbiased_update", m, mrows.median, mrows.min, mrows.max);
-    if (sink.enabled()) {
-      sink.BeginRecord("micro");
-      sink.Add("name", "unbiased_update");
-      sink.Add("m", static_cast<int64_t>(m));
-      sink.Add("reps", static_cast<int64_t>(kSpreadReps));
-      sink.Add("mrows", mrows);
-    }
   }
-  report("deterministic_update", 1000, BestMrows(rows.size(), reps, [&] {
-           DeterministicSpaceSaving s(1000, 3);
-           for (uint64_t x : rows) s.Update(x);
-         }));
-  report("misra_gries_update", 1000, BestMrows(rows.size(), reps, [&] {
-           MisraGries s(1000);
-           for (uint64_t x : rows) s.Update(x);
-         }));
-  report("weighted_update", 1000, BestMrows(rows.size(), reps, [&] {
-           WeightedSpaceSaving s(1000, 4);
-           for (uint64_t x : rows) s.Update(x, 1.0);
-         }));
-  report("weighted_update_batch", 1000, BestMrows(rows.size(), reps, [&] {
-           WeightedSpaceSaving s(1000, 4);
-           s.UpdateBatch(rows, 1.0);
-         }));
-  report("sample_and_hold_update", 1000, BestMrows(rows.size(), reps, [&] {
-           AdaptiveSampleAndHold s(1000, 5);
-           for (uint64_t x : rows) s.Update(x);
-         }));
-  report("bottom_k_update", 1000, BestMrows(rows.size(), reps, [&] {
-           BottomKSampler s(1000, 6);
-           for (uint64_t x : rows) s.Update(x);
-         }));
-  report("count_min_update", 1024, BestMrows(rows.size(), reps, [&] {
-           CountMin s(1024, 4, 7);
-           for (uint64_t x : rows) s.Update(x);
-         }));
+  report("deterministic_update", 1000, [&] {
+    DeterministicSpaceSaving s(1000, 3);
+    for (uint64_t x : rows) s.Update(x);
+  });
+  report("misra_gries_update", 1000, [&] {
+    MisraGries s(1000);
+    for (uint64_t x : rows) s.Update(x);
+  });
+  report("weighted_update", 1000, [&] {
+    WeightedSpaceSaving s(1000, 4);
+    for (uint64_t x : rows) s.Update(x, 1.0);
+  });
+  report("weighted_update_batch", 1000, [&] {
+    WeightedSpaceSaving s(1000, 4);
+    s.UpdateBatch(rows, 1.0);
+  });
+  report("sample_and_hold_update", 1000, [&] {
+    AdaptiveSampleAndHold s(1000, 5);
+    for (uint64_t x : rows) s.Update(x);
+  });
+  report("bottom_k_update", 1000, [&] {
+    BottomKSampler s(1000, 6);
+    for (uint64_t x : rows) s.Update(x);
+  });
+  report("count_min_update", 1024, [&] {
+    CountMin s(1024, 4, 7);
+    for (uint64_t x : rows) s.Update(x);
+  });
 
   std::printf("\n-- micro: merge and query cost --\n");
   for (size_t m : {size_t{1000}, size_t{10000}}) {
@@ -411,23 +397,16 @@ int main(int argc, char** argv) {
   const bool smoke = bench::FlagSet(argc, argv, "smoke");
   const int64_t rows =
       bench::FlagInt(argc, argv, "rows", smoke ? 1000000 : 8000000);
-  const int reps = static_cast<int>(bench::FlagInt(argc, argv, "reps", 2));
+  const int reps = static_cast<int>(bench::FlagInt(argc, argv, "reps", 7));
   const bool full = bench::FlagInt(argc, argv, "full", 1) != 0;
   bench::JsonSink sink(argc, argv, "throughput");
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("ingest config: alloc=%s (mmap %savailable), probe=%s, "
-              "%u hardware threads\n",
-              AllocModeName(GlobalAllocMode()),
-              MmapAllocSupported() ? "" : "un", FlatMapProbeIsa(), hw);
+  std::printf("%u hardware threads, %d runs per median\n",
+              std::thread::hardware_concurrency(), reps);
   if (sink.enabled()) {
     sink.BeginRecord("params");
     sink.Add("rows", rows);
     sink.Add("reps", static_cast<int64_t>(reps));
-    sink.Add("alloc_mode", AllocModeName(GlobalAllocMode()));
-    sink.Add("mmap_supported",
-             static_cast<int64_t>(MmapAllocSupported() ? 1 : 0));
-    sink.Add("probe_isa", FlatMapProbeIsa());
   }
 
   std::printf("generating streams (%lld rows each)...\n",
@@ -453,12 +432,12 @@ int main(int argc, char** argv) {
     workloads.push_back({"weibull", PermutedStream(counts, rng)});
   }
 
-  std::vector<size_t> sizes = {10000, 100000, 1000000};
+  std::vector<size_t> sizes = {4096, 65536, 262144, 1000000};
   if (full) sizes.push_back(4000000);
 
   RowVsBatchSweep(workloads, sizes, reps, sink);
   BatchSizeSweep(workloads[0], full ? 4000000 : 1000000, reps, sink);
-  ShardScalingSweep(workloads[0], 262144, sink);
+  ShardScalingSweep(workloads[0], 262144, reps, sink);
   MicroBenches(workloads[1], reps, sink);
   const int mismatches = ShardMergeBench(2000000, 21, sink);
 
