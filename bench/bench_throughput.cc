@@ -28,12 +28,12 @@
 // The 4*10^6-bin configurations run by default; pass --full=0
 // --rows=2000000 --reps=1 for a quick run.
 //
-// --smoke replaces the sweeps with a CI correctness gate: a small
-// configuration covering both UpdateBatch bodies (plain and software-
-// pipelined) that asserts batch ingestion is bit-identical to per-row
-// updates and that throughput is sane (> 0), and a small shard_merge
-// run whose fleet snapshots must equal MergeAll over their parts byte
-// for byte, exiting nonzero otherwise.
+// --smoke replaces the sweeps with a CI correctness gate: UpdateBatch's
+// one body at a cache-resident and a larger sketch, asserting batch
+// ingestion is bit-identical to per-row updates and that throughput is
+// sane (> 0), and a small shard_merge run whose fleet snapshots must
+// equal MergeAll over their parts byte for byte, exiting nonzero
+// otherwise.
 //
 // Every JSON output starts with the "machine" record bench_util.h writes
 // (hardware threads, compiler) and a "params" record (rows, reps) so
@@ -356,13 +356,10 @@ int ShardMergeBench(size_t rows_n, int reps, bench::JsonSink& sink) {
 }
 
 // --smoke body: proves the ingest hot path end to end on a small stream.
-// UpdateBatch documents bit-for-bit identity with per-row Update; m is
-// chosen to cover both batch bodies (plain below the pipelining
-// threshold, software-pipelined above it). Returns the failure count.
+// UpdateBatch documents bit-for-bit identity with per-row Update; 4096
+// bins stay in cache, 65536 do not. Returns the failure count.
 int SmokeCheck(const Workload& w) {
   int failures = 0;
-  // 65536 bins is the smallest sketch that takes the pipelined
-  // UpdateBatch body; 4096 exercises the plain loop.
   for (size_t m : {size_t{4096}, size_t{65536}}) {
     UnbiasedSpaceSaving per_row(m, 2);
     for (uint64_t x : w.rows) per_row.Update(x);

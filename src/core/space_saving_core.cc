@@ -99,168 +99,24 @@ void SpaceSavingCore::Update(uint64_t item) {
 }
 
 void SpaceSavingCore::UpdateBatch(Span<const uint64_t> items) {
-  // Small sketches live entirely in cache, where the pipeline's ring
-  // bookkeeping costs more than the misses it hides; a plain loop that
-  // only reuses the pre-mixed hash is the better batch path there.
-  if (slots_.size() < 65536) {
-    constexpr size_t kAhead = 8;
-    const uint64_t* data = items.data();
-    const size_t n = items.size();
-    uint64_t hashes[kAhead];
-    for (size_t i = 0; i < n; ++i) {
-      // Read row i's hash before the lookahead write below reuses its
-      // ring slot (the ring is exactly one lookahead distance long).
-      const uint64_t h = i >= kAhead ? hashes[i % kAhead]
-                                     : FlatMap<uint32_t>::MixedHash(data[i]);
-      if (i + kAhead < n) {
-        const uint64_t ha = FlatMap<uint32_t>::MixedHash(data[i + kAhead]);
-        hashes[(i + kAhead) % kAhead] = ha;
-        index_.Prefetch(ha);
-      }
-      UpdateHashed(data[i], h);
-    }
-    return;
-  }
-  PipelinedUpdateBatch(items);
-}
-
-void SpaceSavingCore::PipelinedUpdateBatch(Span<const uint64_t> items) {
-  // Software-pipelined version of per-row Update, bit-for-bit identical
-  // (the mutation and RNG order is unchanged; only *reads* are hoisted).
-  // Row i + 2D gets its key mixed and its index probe line prefetched;
-  // row i + D is looked up (probe line now hot) and its slot and range-id
-  // lines prefetched; row i is applied. A looked-up position can be stale by
-  // apply time — the sketch mutates in between — so each verdict is
-  // re-validated cheaply:
-  //   * "tracked at pos": valid iff slots_[pos].item still == item (label
-  //     and index stay bijective, so a matching label proves the position);
-  //   * "untracked": valid unless one of the D in-flight applies adopted
-  //     exactly this label (tracked via a tiny ring of recent adoptions).
-  // Invalid verdicts (rare: only near-duplicate rows within D) redo the
-  // full lookup.
-  constexpr size_t kDist = 8;          // lookup -> apply distance
-  constexpr size_t kRing = 2 * kDist;  // also prefetch -> lookup distance
-  struct Looked {
-    uint64_t item;
-    uint64_t hash;
-    uint32_t pos;  // kNotFound when absent at lookup time
-  };
-  constexpr uint32_t kNotFound = ~0u;
-  Looked ring[kRing];
-  uint64_t hashes[kRing];
-  uint64_t adopted[kDist];  // labels adopted by the last kDist applies
-  for (size_t i = 0; i < kDist; ++i) adopted[i] = kNoLabel;
-  size_t adopt_next = 0;
-  uint32_t guess[kRing];  // predicted minimum-bin picks (prefetch hints)
-  for (size_t i = 0; i < kRing; ++i) guess[i] = kNotFound;
-
+  // Each row's key is mixed kAhead rows early and its probe line
+  // prefetched then, so by the time the row applies the line is usually
+  // in cache.
+  constexpr size_t kAhead = 8;
   const uint64_t* data = items.data();
   const size_t n = items.size();
+  uint64_t hashes[kAhead];
   for (size_t i = 0; i < n; ++i) {
-    // The minimum-bin slot predicted for row i+1 was prefetched one apply
-    // ago; by now it has usually arrived, so reading the victim label and
-    // prefetching its index probe line hides the eviction's erase miss.
-    {
-      uint32_t& g = guess[(i + 1) % kRing];
-      if (g != kNotFound) {
-        const uint64_t victim = slots_[g].item;
-        if (victim != kNoLabel) {
-          index_.Prefetch(FlatMap<uint32_t>::MixedHash(victim));
-        }
-        g = kNotFound;
-      }
+    // Read row i's hash before the lookahead write below reuses its
+    // ring slot (the ring is exactly one lookahead distance long).
+    const uint64_t h = i >= kAhead ? hashes[i % kAhead]
+                                   : FlatMap<uint32_t>::MixedHash(data[i]);
+    if (i + kAhead < n) {
+      const uint64_t ha = FlatMap<uint32_t>::MixedHash(data[i + kAhead]);
+      hashes[(i + kAhead) % kAhead] = ha;
+      index_.Prefetch(ha);
     }
-    if (i + kRing < n) {  // stage 1: mix + prefetch index probe line
-      const uint64_t h = FlatMap<uint32_t>::MixedHash(data[i + kRing]);
-      hashes[(i + kRing) % kRing] = h;
-      index_.Prefetch(h);
-    }
-    if (i + kDist < n) {  // stage 2: index lookup + prefetch slot, range id
-      const size_t j = i + kDist;
-      const uint64_t item = data[j];
-      const uint64_t h = j < kRing ? FlatMap<uint32_t>::MixedHash(item)
-                                   : hashes[j % kRing];
-      Looked& lk = ring[j % kRing];
-      lk.item = item;
-      lk.hash = h;
-      const uint32_t* pos = index_.FindHashed(item, h);
-      if (pos != nullptr) {
-        lk.pos = *pos;
-        DSKETCH_PREFETCH(&slots_[lk.pos]);
-        DSKETCH_PREFETCH(&rid_[lk.pos]);
-      } else {
-        lk.pos = kNotFound;
-        // Every untracked apply swaps its minimum bin with the last slot
-        // of the minimum range. The range end moves by at most kDist
-        // rows until this row applies, so this line (or its neighbor,
-        // also pulled) is almost always the one touched.
-        const uint32_t end = min_range_end_;
-        DSKETCH_PREFETCH(&slots_[end - 1]);
-        if (end >= kDist) DSKETCH_PREFETCH(&slots_[end - kDist]);
-      }
-    }
-    // stage 3: apply row i.
-    const uint64_t item = data[i];
-    bool did_adopt = false;
-    bool redo = false;
-    if (i < kDist) {
-      redo = true;  // head of the stream: no lookup was staged
-    } else {
-      const Looked& lk = ring[i % kRing];
-      DSKETCH_DCHECK(lk.item == item);
-      if (lk.pos != kNotFound) {
-        if (slots_[lk.pos].item == item) {
-          IncrementSlot(lk.pos);
-        } else {
-          redo = true;  // label moved or evicted since lookup
-        }
-      } else {
-        bool maybe_adopted = false;
-        for (size_t a = 0; a < kDist; ++a) {
-          maybe_adopted |= adopted[a] == item;
-        }
-        if (!maybe_adopted) {
-          did_adopt = ApplyUntracked(item, lk.hash);
-        } else {
-          redo = true;  // an in-flight apply adopted this label
-        }
-      }
-    }
-    if (redo) {
-      const uint64_t h = FlatMap<uint32_t>::MixedHash(item);
-      if (uint32_t* pos = index_.FindHashed(item, h)) {
-        IncrementSlot(*pos);
-      } else {
-        did_adopt = ApplyUntracked(item, h);
-      }
-    }
-    adopted[adopt_next] = did_adopt ? item : kNoLabel;
-    adopt_next = (adopt_next + 1) % kDist;
-
-    // The RNG state now is exactly what the next applies will see, so if
-    // the ring says the upcoming rows are untracked we can replay their
-    // minimum-bin draws on a throwaway copy and prefetch the exact slots
-    // they will touch (the min range shrinks by one per untracked apply).
-    // A stale verdict merely wastes the prefetch; the real draws happen
-    // at apply time as always.
-    if (i + 1 < n && i + 1 >= kDist && tie_break_ == TieBreak::kRandom &&
-        ring[(i + 1) % kRing].pos == kNotFound && min_range_end_ > 1) {
-      uint32_t end = min_range_end_;
-      const int64_t min_count = slots_.front().count;
-      Rng peek = rng_;
-      for (size_t d = 1; d <= 4 && i + d < n && end > 1; ++d) {
-        const Looked& nx = ring[(i + d) % kRing];
-        if (nx.pos != kNotFound) break;  // tracked: consumes no draws
-        const uint32_t pick = static_cast<uint32_t>(peek.NextBounded(end));
-        DSKETCH_PREFETCH(&slots_[pick]);
-        DSKETCH_PREFETCH(&rid_[pick]);
-        guess[(i + d) % kRing] = pick;
-        if (policy_ == LabelPolicy::kUnbiased && min_count > 0) {
-          peek.NextDouble();  // the adoption draw, to stay aligned
-        }
-        --end;
-      }
-    }
+    UpdateHashed(data[i], h);
   }
 }
 
@@ -272,7 +128,7 @@ void SpaceSavingCore::UpdateHashed(uint64_t item, uint64_t hash) {
   ApplyUntracked(item, hash);
 }
 
-bool SpaceSavingCore::ApplyUntracked(uint64_t item, uint64_t hash) {
+void SpaceSavingCore::ApplyUntracked(uint64_t item, uint64_t hash) {
   DSKETCH_DCHECK(item != kNoLabel && item != FlatMap<uint32_t>::kEmpty);
   // Pick a minimum-count bin. The minimum range is always
   // [0, min_range_end_) — maintained by IncrementSlot, no lookup needed.
@@ -312,7 +168,6 @@ bool SpaceSavingCore::ApplyUntracked(uint64_t item, uint64_t hash) {
     DSKETCH_DCHECK(index_.TableSize() >= 2 * slots_.size());
   }
   IncrementSlot(k);
-  return replace;
 }
 
 int64_t SpaceSavingCore::EstimateCount(uint64_t item) const {

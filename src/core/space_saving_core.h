@@ -30,7 +30,6 @@
 
 #include "core/sketch_entry.h"
 #include "util/flat_map.h"
-#include "util/mmap_array.h"
 #include "util/random.h"
 #include "util/span.h"
 
@@ -61,10 +60,9 @@ class SpaceSavingCore {
   void Update(uint64_t item);
 
   /// Processes `items` in stream order. Bit-for-bit identical to calling
-  /// Update once per row (same bins, same RNG stream), but pre-hashes the
-  /// keys and software-prefetches the index probe lines a few rows ahead,
-  /// so the per-row hash-table miss latencies overlap. The speedup grows
-  /// with sketch size (larger tables miss more).
+  /// Update once per row (same bins, same RNG stream), but hashes each
+  /// key a few rows ahead and prefetches its index probe line, so the
+  /// per-row hash-table miss latencies overlap.
   void UpdateBatch(Span<const uint64_t> items);
 
   /// Estimated count for `item`: its bin count, or 0 if untracked.
@@ -125,17 +123,12 @@ class SpaceSavingCore {
   static constexpr uint64_t kNoLabel = ~0ULL - 1;
   static constexpr uint32_t kNoIndex = ~0u;  // bin holds no label
 
-  // UpdateBatch body for large sketches: overlaps the hash-table and slot
-  // misses of nearby rows via lookahead lookups and prefetch.
-  void PipelinedUpdateBatch(Span<const uint64_t> items);
-
   // Update body with the item's index hash precomputed (MixedHash(item)).
   void UpdateHashed(uint64_t item, uint64_t hash);
 
   // The untracked-item branch of the update rule: pick a minimum bin,
-  // maybe adopt the label, increment. Returns true if the label was
-  // adopted (needed by UpdateBatch's staleness tracking).
-  bool ApplyUntracked(uint64_t item, uint64_t hash);
+  // maybe adopt the label, increment.
+  void ApplyUntracked(uint64_t item, uint64_t hash);
 
   // Moves slot `i` (count c) to the top of its count range and bumps it to
   // c+1, moving it into the c+1 range (and fixing the cached min-range
@@ -150,7 +143,7 @@ class SpaceSavingCore {
 
   LabelPolicy policy_;
   TieBreak tie_break_;
-  MmapArray<Slot> slots_;         // ascending by count; huge-page backed
+  std::vector<Slot> slots_;       // ascending by count
   FlatMap<uint32_t> index_;       // item -> slot position
   // Backpointer per bin: the index_ table position holding that bin's
   // label (kNoIndex for unlabeled bins). Lets the constant bin swaps of
@@ -160,12 +153,12 @@ class SpaceSavingCore {
   // index_ is pre-sized for `capacity` keys, so it never rehashes and
   // positions only move on erases — which report every backward-shift
   // relocation through EraseAtPos's hook, fixing this array in O(1).
-  MmapArray<uint32_t> index_pos_;
+  std::vector<uint32_t> index_pos_;
   // Count ranges by id. rid_[i] is the id of slot i's range; ids are per
   // position, so SwapSlots within a range leaves them alone. The pool
   // holds one live entry per distinct count (it grows on demand, and an
   // emptied range's id is reused), far below capacity for skewed streams.
-  MmapArray<uint32_t> rid_;
+  std::vector<uint32_t> rid_;
   std::vector<Range> pool_;
   std::vector<uint32_t> free_ids_;  // retired pool_ ids
   // End of the minimum count range (its begin is always 0). Maintained

@@ -10,9 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/frame.h"
-#include "util/flat_map.h"
 #include "util/logging.h"
-#include "util/mmap_array.h"
 #include "wire/codec.h"
 #include "wire/frozen.h"
 
@@ -88,9 +86,7 @@ const ServiceMetrics& Metrics() {
         &registry.GetCounter("dsketch_window_timer_catchup_ticks_total");
     // Info gauge: constant 1; the build this process runs rides the labels.
     registry
-        .GetGauge(std::string("dsketch_util_build_info{alloc_mode=\"") +
-                  AllocModeName(GlobalAllocMode()) + "\",probe_isa=\"" +
-                  FlatMapProbeIsa() + "\",metrics=\"" +
+        .GetGauge(std::string("dsketch_util_build_info{metrics=\"") +
                   obs::MetricsBuildMode() + "\"}")
         .Set(1);
     return m;

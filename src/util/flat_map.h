@@ -4,43 +4,32 @@
 // Design notes:
 //  - Linear probing with a power-of-two table and a strong 64-bit mixer.
 //    Sketch workloads are read-mostly lookups over at most `capacity` keys,
-//    so probe sequences stay short at the 0.5 max load factor used here.
+//    so probe sequences stay short at the 0.5 max load factor used here:
+//    a lookup tests its home slot, then walks the cluster one slot at a
+//    time (the expected probe length is ~1).
 //  - Keys and values live interleaved in one slot array, so a lookup that
-//    hits touches a single cache line for both (the batched ingestion path
-//    made this the layout that matters; probes past a slot waste a little
-//    bandwidth, but at 0.5 load the expected probe length is ~1).
-//  - The slot array lives in an MmapArray: at production sizes it is
-//    huge-page backed, so a probe costs one TLB entry per 2 MiB of table
-//    instead of one per 4 KiB (see util/mmap_array.h).
-//  - Probing is group-at-a-time: when a slot is 16 bytes (every map in
-//    the ingest path), FindSlot compares a whole cache line of keys at
-//    once with AVX2 (four slots) or SSE2 (two slots), runtime-dispatched,
-//    instead of walking one slot per branch. The scalar walk is kept both
-//    as the portable fallback and behind the DSKETCH_NO_SIMD escape
-//    hatch (CI builds it so it cannot rot).
+//    hits touches a single cache line for both.
 //  - Erase uses backward-shift deletion (no tombstones), keeping lookups
 //    O(1) even under the frequent label-replacement churn of Space Saving.
 //  - One reserved key (kEmpty) marks free slots; the sketches never store
 //    it because item ids are hashed upstream or offset by callers.
-//  - The batched ingestion path pre-mixes keys once (MixedHash) and reuses
+//  - The batched ingestion path pre-mixes keys once (MixedHash), reuses
 //    the mix across Find/Insert/Erase via the *Hashed overloads, and hides
-//    probe-line misses with Prefetch/FindBatch. A mixed hash stays valid
-//    across rehashes (only the mask applied to it changes).
+//    probe-line misses with Prefetch. A mixed hash stays valid across
+//    rehashes (only the mask applied to it changes).
 //  - Callers that keep a per-entry backpointer (SpaceSavingCore's
 //    slot -> index-position array) use the *AtPos API: values are updated
 //    or erased at a known table position with no probe walk at all, and
 //    EraseAtPos reports every backward-shift relocation through a hook so
-//    backpointers stay exact. generation() counts structural changes —
-//    the validity token for held positions and FindBatch pointers.
+//    backpointers stay exact.
 
 #ifndef DSKETCH_UTIL_FLAT_MAP_H_
 #define DSKETCH_UTIL_FLAT_MAP_H_
 
 #include <cstdint>
-#include <utility>
+#include <vector>
 
 #include "util/logging.h"
-#include "util/mmap_array.h"
 
 #if defined(_MSC_VER) && !defined(__clang__)
 #include <intrin.h>
@@ -49,104 +38,14 @@
 #define DSKETCH_PREFETCH(addr) __builtin_prefetch((addr), 0, 3)
 #endif
 
-// SIMD group probing: x86-64 GCC/Clang only (MSVC and other ISAs use the
-// scalar walk). -DDSKETCH_NO_SIMD=ON forces the scalar walk everywhere —
-// the CI escape hatch that keeps the fallback honest.
-#if !defined(DSKETCH_NO_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DSKETCH_FLATMAP_SIMD 1
-#include <immintrin.h>
-#else
-#define DSKETCH_FLATMAP_SIMD 0
-#endif
-
 namespace dsketch {
 
-#if DSKETCH_FLATMAP_SIMD
-namespace internal_simd {
-
-// One-time CPUID check; AVX2 covers every probe after dispatch.
-inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
-
-// The group probes below scan slots of exactly 16 bytes whose first 8
-// bytes are the key, returning the position (cyclic from `start`, table
-// size mask+1) of the first slot whose key equals `key` or `empty`.
-// They visit slots in the same order as the scalar walk, so the result
-// is identical; they just test a cache line of keys per iteration.
-
-__attribute__((target("avx2"))) inline size_t FindSlot16Avx2(
-    const char* slots, size_t mask, uint64_t key, uint64_t empty,
-    size_t start) {
-  const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(key));
-  const __m256i vempty = _mm256_set1_epi64x(static_cast<long long>(empty));
-  size_t group = start & ~size_t{3};
-  unsigned skip = static_cast<unsigned>(start & 3);  // lanes before start
-  while (true) {
-    const char* p = slots + group * 16;
-    // Two 32-byte loads cover slots group..group+3; keys are the even
-    // qwords. permute+blend packs them, in slot order, into one vector.
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32));
-    const __m256i keys = _mm256_blend_epi32(
-        _mm256_permute4x64_epi64(a, 0x08), _mm256_permute4x64_epi64(b, 0x80),
-        0xF0);
-    const __m256i hit = _mm256_or_si256(_mm256_cmpeq_epi64(keys, vkey),
-                                        _mm256_cmpeq_epi64(keys, vempty));
-    unsigned m =
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(hit)));
-    m &= 0xFu << skip;
-    if (m != 0) return group + static_cast<size_t>(__builtin_ctz(m));
-    skip = 0;
-    group = (group + 4) & mask;
-  }
-}
-
-// SSE2 is part of the x86-64 baseline, so this needs no dispatch check.
-// There is no 64-bit compare until SSE4.1; equality is built from a
-// 32-bit compare ANDed with its half-swapped self.
-inline __m128i Eq64Sse2(__m128i a, __m128i b) {
-  const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-  return _mm_and_si128(eq32,
-                       _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-
-inline size_t FindSlot16Sse2(const char* slots, size_t mask, uint64_t key,
-                             uint64_t empty, size_t start) {
-  const __m128i vkey = _mm_set1_epi64x(static_cast<long long>(key));
-  const __m128i vempty = _mm_set1_epi64x(static_cast<long long>(empty));
-  size_t group = start & ~size_t{1};
-  unsigned skip = static_cast<unsigned>(start & 1);
-  while (true) {
-    const char* p = slots + group * 16;
-    const __m128i s0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const __m128i s1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
-    const __m128i keys = _mm_unpacklo_epi64(s0, s1);
-    const __m128i hit =
-        _mm_or_si128(Eq64Sse2(keys, vkey), Eq64Sse2(keys, vempty));
-    unsigned m =
-        static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(hit)));
-    m &= 0x3u << skip;
-    if (m != 0) return group + static_cast<size_t>(__builtin_ctz(m));
-    skip = 0;
-    group = (group + 2) & mask;
-  }
-}
-
-}  // namespace internal_simd
-#endif  // DSKETCH_FLATMAP_SIMD
-
-/// The probe kernel this build/machine dispatches to ("avx2", "sse2",
-/// or "scalar"); benchmarks record it next to their numbers.
-inline const char* FlatMapProbeIsa() {
-#if DSKETCH_FLATMAP_SIMD
-  return internal_simd::kHaveAvx2 ? "avx2" : "sse2";
-#else
-  return "scalar";
-#endif
-}
+// perfbench's header record still prints these two facts; the probe is
+// always the scalar walk and every table lives on the heap.
+inline const char* FlatMapProbeIsa() { return "scalar"; }
+enum class AllocMode { kHeap };
+inline AllocMode GlobalAllocMode() { return AllocMode::kHeap; }
+inline const char* AllocModeName(AllocMode) { return "heap"; }
 
 /// Open-addressing uint64 -> Value map with backward-shift deletion.
 ///
@@ -172,29 +71,6 @@ class FlatMap {
   /// therefore never see positions move under them.
   size_t TableSize() const { return slots_.size(); }
 
-  /// Structural version: changes exactly when table slots may have moved
-  /// or been freed (new-key insert, erase, rehash, clear). Positions and
-  /// pointers obtained from this map are valid only while generation()
-  /// is unchanged.
-  uint64_t generation() const { return generation_; }
-
-  /// True if the slot table came from mmap (see util/mmap_array.h).
-  bool TableBackedByMmap() const { return slots_.backed_by_mmap(); }
-
-  /// Debug aid for the FindBatch/position contract: captures
-  /// generation() at construction; Check() DCHECK-fails if the map has
-  /// structurally changed since — i.e. if pointers or positions taken
-  /// before the guard may now dangle.
-  class BatchGuard {
-   public:
-    explicit BatchGuard(const FlatMap& m) : map_(m), gen_(m.generation()) {}
-    void Check() const { DSKETCH_DCHECK(map_.generation() == gen_); }
-
-   private:
-    const FlatMap& map_;
-    uint64_t gen_;
-  };
-
   /// The mixed (table-size independent) hash of `key`. Callers that touch
   /// the same key several times can compute this once and use the *Hashed
   /// overloads below.
@@ -217,9 +93,8 @@ class FlatMap {
   }
 
   /// InsertOrAssign that returns the table position the mapping landed
-  /// in. The position stays valid until generation() next changes (for
-  /// pre-sized maps: until an erase shifts a cluster over it, reported
-  /// via EraseAtPos's hook).
+  /// in. The position stays valid until the next rehash, or until an
+  /// erase shifts a cluster over it (reported via EraseAtPos's hook).
   size_t InsertOrAssignPosHashed(uint64_t key, uint64_t mixed_hash,
                                  Value value) {
     DSKETCH_DCHECK(key != kEmpty);
@@ -229,7 +104,6 @@ class FlatMap {
     if (slots_[i].key == kEmpty) {
       slots_[i].key = key;
       ++size_;
-      ++generation_;
     }
     slots_[i].value = value;
     return i;
@@ -255,57 +129,15 @@ class FlatMap {
     return slots_[i].key == key ? &slots_[i].value : nullptr;
   }
 
-  /// Table position of `key`, or kNpos if absent. Valid while
-  /// generation() is unchanged.
-  size_t FindPosHashed(uint64_t key, uint64_t mixed_hash) const {
-    DSKETCH_DCHECK(mixed_hash == Mix(key));
-    size_t i = FindSlotHashed(key, mixed_hash);
-    return slots_[i].key == key ? i : kNpos;
-  }
-
-  /// Reference probe for tests: Find via the scalar walk regardless of
-  /// SIMD dispatch, for group-probe equivalence sweeps.
-  const Value* FindScalar(uint64_t key) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = FindSlotScalar(key, Mix(key) & mask, mask);
-    return slots_[i].key == key ? &slots_[i].value : nullptr;
-  }
-
   /// The key stored at table position `pos` (kEmpty for a free slot).
   uint64_t KeyAtPos(size_t pos) const { return slots_[pos].key; }
 
   /// Overwrites the value at an occupied table position — O(1), no probe
-  /// walk, no structural change. `pos` must come from a *Pos* call and
-  /// generation() must be unchanged since.
+  /// walk, no structural change. `pos` must come from
+  /// InsertOrAssignPosHashed (or EraseAtPos's hook) and still be current.
   void AssignAtPos(size_t pos, Value value) {
     DSKETCH_DCHECK(slots_[pos].key != kEmpty);
     slots_[pos].value = value;
-  }
-
-  /// Batched lookup: out[j] points at the value for keys[j] (nullptr when
-  /// absent). Prefetches every probe line before the first probe, so the
-  /// memory latencies of the n lookups overlap instead of serializing.
-  ///
-  /// POINTER-INVALIDATION HAZARD: the returned pointers alias the slot
-  /// table and are valid only until the next structural mutation (insert
-  /// of a new key, erase, clear — anything that bumps generation(); a
-  /// rehash frees the table outright, so a stale pointer is a
-  /// use-after-free, not just a wrong value). Callers holding the batch
-  /// output across other code must guard it with BatchGuard (or compare
-  /// generation()) — mirrors the windowed view-cache reference contract.
-  void FindBatch(const uint64_t* keys, size_t n, const Value** out) const {
-    constexpr size_t kChunk = 32;
-    uint64_t hashes[kChunk];
-    for (size_t base = 0; base < n; base += kChunk) {
-      const size_t len = n - base < kChunk ? n - base : kChunk;
-      for (size_t j = 0; j < len; ++j) {
-        hashes[j] = Mix(keys[base + j]);
-        Prefetch(hashes[j]);
-      }
-      for (size_t j = 0; j < len; ++j) {
-        out[base + j] = FindHashed(keys[base + j], hashes[j]);
-      }
-    }
   }
 
   /// Removes `key` if present; returns true if a mapping was removed.
@@ -353,14 +185,12 @@ class FlatMap {
     }
     slots_[hole].key = kEmpty;
     --size_;
-    ++generation_;
   }
 
   /// Removes all keys, keeping the current capacity.
   void Clear() {
     for (auto& s : slots_) s.key = kEmpty;
     size_ = 0;
-    ++generation_;
   }
 
  private:
@@ -386,59 +216,31 @@ class FlatMap {
 
   size_t Home(uint64_t key) const { return Mix(key) & (slots_.size() - 1); }
 
-  size_t FindSlotScalar(uint64_t key, size_t start, size_t mask) const {
-    size_t i = start;
+  // First slot, cyclically from the hash's home position, whose key is
+  // `key` or kEmpty.
+  size_t FindSlotHashed(uint64_t key, uint64_t mixed_hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = mixed_hash & mask;
     while (slots_[i].key != kEmpty && slots_[i].key != key) {
       i = (i + 1) & mask;
     }
     return i;
   }
 
-  // First slot (cyclically from the hash's home position) whose key is
-  // `key` or kEmpty. The home slot is always tested scalar first: at the
-  // 0.5 max load factor the expected probe length is ~1, and two scalar
-  // compares beat any vector sequence there. Only when the home slot
-  // belongs to a collision cluster does the probe continue — and that
-  // continuation scans a whole cache line of keys per step with AVX2
-  // (four slots) or SSE2 (two slots) when the slot layout allows it
-  // (16-byte slots, key first — true for every Value up to 8 bytes).
-  // Scalar walk as the portable / DSKETCH_NO_SIMD fallback.
-  size_t FindSlotHashed(uint64_t key, uint64_t mixed_hash) const {
-    const size_t mask = slots_.size() - 1;
-    const size_t start = mixed_hash & mask;
-    const uint64_t first = slots_[start].key;
-    if (first == key || first == kEmpty) return start;
-#if DSKETCH_FLATMAP_SIMD
-    if constexpr (sizeof(Slot) == 16) {
-      const char* base = reinterpret_cast<const char*>(slots_.data());
-      if (internal_simd::kHaveAvx2) {
-        return internal_simd::FindSlot16Avx2(base, mask, key, kEmpty,
-                                             (start + 1) & mask);
-      }
-      return internal_simd::FindSlot16Sse2(base, mask, key, kEmpty,
-                                           (start + 1) & mask);
-    }
-#endif
-    return FindSlotScalar(key, (start + 1) & mask, mask);
-  }
-
   void Rehash(size_t new_size) {
-    MmapArray<Slot> old = std::move(slots_);
+    std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_size, Slot{kEmpty, Value()});
     size_ = 0;
-    ++generation_;
     for (const Slot& s : old) {
       if (s.key != kEmpty) {
-        size_t j = FindSlotHashed(s.key, Mix(s.key));
-        slots_[j] = s;
+        slots_[FindSlotHashed(s.key, Mix(s.key))] = s;
         ++size_;
       }
     }
   }
 
-  MmapArray<Slot> slots_;
+  std::vector<Slot> slots_;
   size_t size_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace dsketch

@@ -1,62 +1,16 @@
-// Fixed-shape array storage for the ingest hot path, allocated straight
-// from the kernel instead of the heap.
-//
-// The sketch hot path at production sizes (millions of bins) is bound by
-// TLB and cache misses on two big flat arrays: FlatMap's slot table and
-// SpaceSavingCore's bin array. Backing them with `mmap` buys two things:
-//
-//   * MAP_POPULATE prefaults the whole range up front, so the first pass
-//     over the table does not take one minor fault per 4 KiB page;
-//   * MADV_HUGEPAGE asks for transparent huge pages (2 MiB), cutting the
-//     number of TLB entries the working set needs by ~512x — the main
-//     lever behind the large-m ingest throughput recovery (see the
-//     "ingest hot path" section of README.md and BENCH_throughput.json).
-//
-// MmapArray<T> degrades gracefully: when mmap/THP is unavailable (non-
-// Linux, sandboxed CI, exhausted address space) or the allocation is too
-// small to benefit, it falls back to a 64-byte-aligned heap block with
-// identical semantics. The policy is controlled by a process-wide mode —
-// settable programmatically or via the DSKETCH_ALLOC environment
-// variable ("auto" | "mmap" | "heap") — and each instance records which
-// backend it actually got, so benchmarks can log the choice alongside
-// their numbers.
+// A whole file mapped read-only into memory: the restore side of the
+// frozen snapshot path (read replicas, `dsketchd --replica`).
 
 #ifndef DSKETCH_UTIL_MMAP_ARRAY_H_
 #define DSKETCH_UTIL_MMAP_ARRAY_H_
 
 #include <cstddef>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace dsketch {
-
-/// Backing-store policy for MmapArray allocations.
-enum class AllocMode {
-  kAuto,  ///< mmap + huge pages for large blocks, heap below the threshold
-  kMmap,  ///< mmap every page-sized-or-larger block (heap only on failure)
-  kHeap,  ///< never mmap (the CI-safe fallback; also the non-POSIX default)
-};
-
-/// Process-wide allocation mode. Initialized once from the DSKETCH_ALLOC
-/// environment variable ("auto" | "mmap" | "heap", default auto).
-AllocMode GlobalAllocMode();
-
-/// Overrides the process-wide mode (tests and benchmarks; not
-/// thread-safe against concurrent allocations).
-void SetGlobalAllocMode(AllocMode mode);
-
-/// Short stable name for a mode ("auto" / "mmap" / "heap").
-const char* AllocModeName(AllocMode mode);
-
-/// True if this build can mmap at all (POSIX). When false, every
-/// MmapArray is heap-backed regardless of mode.
-bool MmapAllocSupported();
 
 /// A whole file mapped (or read) into memory, read-only — the restore
 /// side of the frozen snapshot path: a read replica MapFile()s a frozen
@@ -128,144 +82,6 @@ class MappedFile {
 inline std::optional<MappedFile> MapFile(const std::string& path) {
   return MappedFile::Map(path);
 }
-
-namespace internal {
-
-struct RawAlloc {
-  void* block = nullptr;      // what to free (mmap base or heap pointer)
-  void* data = nullptr;       // usable, aligned start
-  size_t block_bytes = 0;     // mapped length (0 for heap blocks)
-  bool mmapped = false;
-  bool huge = false;          // MADV_HUGEPAGE applied
-};
-
-// Allocates `bytes` (zero-filled when mmapped) under `mode`; falls back
-// to the heap on any mmap failure. `bytes` may be 0. `populate`
-// prefaults the whole range up front (kernel-side, honoring any huge-
-// page advice) — callers that immediately overwrite every element pass
-// false, since populating first would write the range twice.
-RawAlloc AllocRaw(size_t bytes, AllocMode mode, bool populate);
-void FreeRaw(const RawAlloc& a);
-
-}  // namespace internal
-
-/// Flat array of trivially-copyable T with std::vector-like surface,
-/// backed by mmap'd (optionally huge) pages or the heap — see file
-/// comment. Unlike std::vector it never over-allocates: assign/resize
-/// always reallocate to the exact new size, which is the right trade for
-/// the hash tables and bin arrays it backs (they size once, or double —
-/// either way the old block is dead).
-template <typename T>
-class MmapArray {
-  static_assert(std::is_trivially_copyable<T>::value,
-                "MmapArray requires trivially copyable elements");
-
- public:
-  MmapArray() = default;
-
-  /// An array of `n` value-initialized elements.
-  explicit MmapArray(size_t n) { resize(n); }
-
-  MmapArray(const MmapArray& other) { CopyFrom(other); }
-  MmapArray& operator=(const MmapArray& other) {
-    if (this != &other) {
-      Release();
-      CopyFrom(other);
-    }
-    return *this;
-  }
-
-  MmapArray(MmapArray&& other) noexcept { MoveFrom(std::move(other)); }
-  MmapArray& operator=(MmapArray&& other) noexcept {
-    if (this != &other) {
-      Release();
-      MoveFrom(std::move(other));
-    }
-    return *this;
-  }
-
-  ~MmapArray() { Release(); }
-
-  /// Replaces the contents with `n` copies of `v` (reallocates). The
-  /// fill itself faults the pages in — after the huge-page advice — so
-  /// no separate populate pass is paid.
-  void assign(size_t n, const T& v) {
-    Reallocate(n, /*populate=*/false);
-    for (size_t i = 0; i < size_; ++i) data_[i] = v;
-  }
-
-  /// Replaces the contents with `n` value-initialized elements. Existing
-  /// contents are NOT preserved (every in-repo caller sizes-then-fills).
-  void resize(size_t n) {
-    // Zero-filled mmap pages arrive ready; prefault them kernel-side so
-    // first touches during use do not take one minor fault per page.
-    Reallocate(n, /*populate=*/true);
-    if (!alloc_.mmapped && size_ > 0) {
-      std::memset(static_cast<void*>(data_), 0, size_ * sizeof(T));
-    }
-  }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  T* data() { return data_; }
-  const T* data() const { return data_; }
-
-  T& operator[](size_t i) { return data_[i]; }
-  const T& operator[](size_t i) const { return data_[i]; }
-
-  T& front() { return data_[0]; }
-  const T& front() const { return data_[0]; }
-
-  T* begin() { return data_; }
-  T* end() { return data_ + size_; }
-  const T* begin() const { return data_; }
-  const T* end() const { return data_ + size_; }
-
-  /// True if the current block came from mmap (false for heap fallback
-  /// or empty arrays). Benchmarks record this next to their numbers.
-  bool backed_by_mmap() const { return alloc_.mmapped; }
-
-  /// True if the block additionally got MADV_HUGEPAGE.
-  bool huge_pages_advised() const { return alloc_.huge; }
-
- private:
-  void Reallocate(size_t n, bool populate) {
-    Release();
-    if (n == 0) return;
-    alloc_ = internal::AllocRaw(n * sizeof(T), GlobalAllocMode(), populate);
-    DSKETCH_CHECK(alloc_.data != nullptr);
-    data_ = static_cast<T*>(alloc_.data);
-    size_ = n;
-  }
-
-  void CopyFrom(const MmapArray& other) {
-    Reallocate(other.size_, /*populate=*/false);
-    if (size_ > 0) {
-      std::memcpy(static_cast<void*>(data_), other.data_, size_ * sizeof(T));
-    }
-  }
-
-  void MoveFrom(MmapArray&& other) noexcept {
-    alloc_ = other.alloc_;
-    data_ = other.data_;
-    size_ = other.size_;
-    other.alloc_ = internal::RawAlloc{};
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-
-  void Release() {
-    if (alloc_.data != nullptr) internal::FreeRaw(alloc_);
-    alloc_ = internal::RawAlloc{};
-    data_ = nullptr;
-    size_ = 0;
-  }
-
-  internal::RawAlloc alloc_;
-  T* data_ = nullptr;
-  size_t size_ = 0;
-};
 
 }  // namespace dsketch
 

@@ -166,15 +166,12 @@ TEST(BatchUpdateTest, DecayedEpochBatchesMatchSequential) {
   }
 }
 
-TEST(BatchUpdateTest, PipelinedLargeSketchPathMatchesSequential) {
-  // Sketches with >= 65536 bins dispatch to PipelinedUpdateBatch (the
-  // lookahead/staleness-validation path); everything smaller takes the
-  // simple loop, so this test is the only equivalence coverage the
-  // pipelined path gets. The stream interleaves repeats at distances
-  // shorter than the pipeline's lookahead window — including immediate
-  // duplicates of previously-unseen items — to force stale "untracked"
-  // verdicts (the adopted-ring redo) and stale positions (labels moved
-  // or evicted between lookup and apply).
+TEST(BatchUpdateTest, LargeSketchMatchesSequential) {
+  // A sketch past the cache-resident sizes, fed a stream that interleaves
+  // repeats at distances shorter than UpdateBatch's hash lookahead —
+  // including immediate duplicates of previously-unseen items — so rows
+  // whose probe line was prefetched before an earlier row adopted or
+  // evicted their label still land exactly as per-row Update would.
   constexpr size_t kCapacity = 65536;
   // More distinct items than bins, so the sketch fills and the eviction /
   // Bernoulli branches run; small per-item counts keep the min range wide.

@@ -719,7 +719,8 @@ TEST_F(ServiceSessionTest, MetricsOpcodeServesScopedExposition) {
       std::string::npos);
   EXPECT_NE(all->find("dsketch_service_request_latency_us_bucket"),
             std::string::npos);
-  EXPECT_NE(all->find("dsketch_util_build_info"), std::string::npos);
+  EXPECT_NE(all->find("dsketch_util_build_info{metrics=\""),
+            std::string::npos);
 
   // Scope filtering selects whole metric families by prefix.
   auto service_only = client_->Metrics(MetricsScope::kService);
@@ -730,7 +731,8 @@ TEST_F(ServiceSessionTest, MetricsOpcodeServesScopedExposition) {
   auto util_only = client_->Metrics(MetricsScope::kUtil);
   ASSERT_TRUE(util_only.has_value());
   EXPECT_EQ(util_only->find("dsketch_service_"), std::string::npos);
-  EXPECT_NE(util_only->find("dsketch_util_build_info"), std::string::npos);
+  EXPECT_NE(util_only->find("dsketch_util_build_info{metrics=\""),
+            std::string::npos);
 }
 
 TEST_F(ServiceSessionTest, TraceOpcodeServesRecentAndFlightScopes) {

@@ -234,8 +234,8 @@ TEST(SpaceSavingCoreTest, UnbiasedKeepsHeavyLabelAgainstNoise) {
 // and UpdateBatch must both land on them: comparing the two paths with
 // each other cannot catch a wrong range rule, since both run it. The
 // streams drive the minimum range down to one bin over and over (the
-// all-distinct and ascending-frequency orders of §6.3), and 65536 bins
-// reaches the software-pipelined batch path.
+// all-distinct and ascending-frequency orders of §6.3), at sizes from
+// one bin to 65536.
 
 uint64_t Fnv1aWord(uint64_t h, uint64_t word) {
   for (int b = 0; b < 8; ++b) {

@@ -345,23 +345,5 @@ TEST(FlatMapTest, HashedOverloadsMatchPlainOnes) {
   }
 }
 
-TEST(FlatMapTest, FindBatchMatchesScalarFind) {
-  FlatMap<uint32_t> map(64);
-  for (uint64_t k = 0; k < 300; k += 3) {
-    map.InsertOrAssign(k + 1, static_cast<uint32_t>(k));
-  }
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 1; k <= 300; ++k) keys.push_back(k);
-  std::vector<const uint32_t*> got(keys.size());
-  map.FindBatch(keys.data(), keys.size(), got.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const uint32_t* want = map.Find(keys[i]);
-    EXPECT_EQ(got[i], want) << "key " << keys[i];
-    if (want != nullptr) {
-      EXPECT_EQ(*got[i], *want);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace dsketch
