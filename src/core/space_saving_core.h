@@ -30,6 +30,7 @@
 
 #include "core/sketch_entry.h"
 #include "util/flat_map.h"
+#include "util/huge_page_allocator.h"
 #include "util/random.h"
 #include "util/span.h"
 
@@ -143,7 +144,7 @@ class SpaceSavingCore {
 
   LabelPolicy policy_;
   TieBreak tie_break_;
-  std::vector<Slot> slots_;       // ascending by count
+  HeapArray<Slot> slots_;         // ascending by count
   FlatMap<uint32_t> index_;       // item -> slot position
   // Backpointer per bin: the index_ table position holding that bin's
   // label (kNoIndex for unlabeled bins). Lets the constant bin swaps of
@@ -153,12 +154,12 @@ class SpaceSavingCore {
   // index_ is pre-sized for `capacity` keys, so it never rehashes and
   // positions only move on erases — which report every backward-shift
   // relocation through EraseAtPos's hook, fixing this array in O(1).
-  std::vector<uint32_t> index_pos_;
+  HeapArray<uint32_t> index_pos_;
   // Count ranges by id. rid_[i] is the id of slot i's range; ids are per
   // position, so SwapSlots within a range leaves them alone. The pool
   // holds one live entry per distinct count (it grows on demand, and an
   // emptied range's id is reused), far below capacity for skewed streams.
-  std::vector<uint32_t> rid_;
+  HeapArray<uint32_t> rid_;
   std::vector<Range> pool_;
   std::vector<uint32_t> free_ids_;  // retired pool_ ids
   // End of the minimum count range (its begin is always 0). Maintained

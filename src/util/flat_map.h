@@ -27,8 +27,8 @@
 #define DSKETCH_UTIL_FLAT_MAP_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "util/huge_page_allocator.h"
 #include "util/logging.h"
 
 #if defined(_MSC_VER) && !defined(__clang__)
@@ -228,7 +228,7 @@ class FlatMap {
   }
 
   void Rehash(size_t new_size) {
-    std::vector<Slot> old = std::move(slots_);
+    HeapArray<Slot> old = std::move(slots_);
     slots_.assign(new_size, Slot{kEmpty, Value()});
     size_ = 0;
     for (const Slot& s : old) {
@@ -239,7 +239,7 @@ class FlatMap {
     }
   }
 
-  std::vector<Slot> slots_;
+  HeapArray<Slot> slots_;
   size_t size_ = 0;
 };
 
