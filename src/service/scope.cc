@@ -122,6 +122,10 @@ class WeightedScope : public Scope {
         view_(options.merged_capacity, options.seed) {}
 
   Status Ingest(const IngestBatchRequest& req) override {
+    double batch = 0.0;
+    for (double weight : req.weights) batch += weight;
+    // An infinite sum fails this too.
+    if (!(batch <= kMaxWeightedTotal - total_)) return Status::kTooLarge;
     std::vector<WeightedEntry> rows;
     rows.reserve(req.items.size());
     for (size_t i = 0; i < req.items.size(); ++i) {
@@ -130,6 +134,7 @@ class WeightedScope : public Scope {
     fleet_.Ingest(Span<const WeightedEntry>(rows.data(), rows.size()));
     dirty_ = true;
     rows_ += rows.size();
+    total_ += batch;
     return Status::kOk;
   }
   // Real weights are order-sensitive, so this keeps the weighted sketch's
@@ -152,8 +157,15 @@ class WeightedScope : public Scope {
     return Status::kOk;
   }
   Status Restore(std::string_view blob, uint64_t* num_absorbed) override {
-    if (!fleet_.IngestSerialized(blob)) return Status::kBadState;
+    double absorbed = 0.0;
+    if (!fleet_.IngestSerialized(blob, [&](const WeightedSpaceSaving& s) {
+          absorbed = s.TotalWeight();
+          return absorbed <= kMaxWeightedTotal - total_;
+        })) {
+      return Status::kBadState;
+    }
     dirty_ = true;
+    total_ += absorbed;
     *num_absorbed = fleet_.num_absorbed();
     return Status::kOk;
   }
@@ -178,6 +190,7 @@ class WeightedScope : public Scope {
   WeightedSpaceSaving view_;
   bool dirty_ = false;
   uint64_t rows_ = 0;
+  double total_ = 0.0;  // weight ingested plus absorbed, <= the cap
 };
 
 // Epoch-stamped rows in a WindowedSketchSource; queries read the newest

@@ -28,6 +28,12 @@ struct SketchServerOptions;
 inline constexpr size_t kNumQueryScopes =
     static_cast<size_t>(QueryScope::kWindow) + 1;
 
+/// The weighted scope's domain: its total weight (rows ingested plus
+/// absorbed totals) stays <= 2^500. Any merge of its parts then sums to a
+/// finite double, and so does eq. 5's variance, MinWeight()^2 * C_S,
+/// which is at most the total squared.
+inline constexpr double kMaxWeightedTotal = 0x1p500;
+
 /// One addressable sketch. Predicates arrive validated against the
 /// attribute table; responses are filled only on kOk.
 class Scope {

@@ -28,10 +28,15 @@
 // and are served by both. Replication rides the snapshot codecs: RESTORE
 // absorbs a peer's SNAPSHOT next to local rows.
 //
-// Domains: the counts scope's total (rows ingested plus absorbed
-// totals) stays <= INT64_MAX. An INGEST that would pass it answers
-// kTooLarge and a RESTORE kBadState; neither changes the state. Restored
-// weighted masses (the weighted scope, a window ring's decayed
+// Domains. An INGEST that would leave its scope's domain answers
+// kTooLarge and a RESTORE kBadState; neither changes the state.
+//   counts    total count (rows ingested plus absorbed totals)
+//             <= INT64_MAX;
+//   weighted  total weight (weights ingested plus absorbed totals)
+//             <= kMaxWeightedTotal = 2^500 (service/scope.h), so merges
+//             and eq. 5's MinWeight()^2 * C_S stay finite;
+//   window    no total cap.
+// Restored weighted masses (the weighted scope, a window ring's decayed
 // accumulator) must be finite, and so must their per-blob total.
 //
 // Threading: one thread drives HandleRequest/Serve (the shard fleets fan

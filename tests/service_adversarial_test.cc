@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -21,6 +22,7 @@
 
 #include "core/serialization.h"
 #include "core/unbiased_space_saving.h"
+#include "core/weighted_space_saving.h"
 #include "query/attribute_table.h"
 #include "query/predicate.h"
 #include "service/frame.h"
@@ -726,6 +728,74 @@ TEST(ServiceAdversarialTest, IngestPastInt64MaxIsRejected) {
       DecodeQuerySumResponse);
   EXPECT_TRUE(std::isfinite(sum.estimate));
   EXPECT_GT(sum.estimate, 0.0);
+}
+
+std::string IngestWeighted(const std::vector<double>& weights) {
+  IngestBatchRequest req;
+  for (size_t i = 0; i < weights.size(); ++i) req.items.push_back(100 + i);
+  req.weights = weights;
+  return EncodeIngestBatchRequest(95, req);
+}
+
+std::string RestoreWeighted(const std::vector<double>& weights) {
+  WeightedSpaceSaving sketch(8, 1);
+  for (size_t i = 0; i < weights.size(); ++i) {
+    sketch.Update(200 + i, weights[i]);
+  }
+  RestoreRequest req;
+  req.scope = QueryScope::kWeighted;
+  req.blob = SketchWire<WeightedSpaceSaving>::Serialize(sketch);
+  return EncodeRestoreRequest(96, req);
+}
+
+// The weighted total stays <= 2^500. Three rows of weight DBL_MAX used
+// to make SUM answer inf with variance 0 and TOPK a weight of inf, and
+// no later ingest recovered the scope.
+TEST(ServiceAdversarialTest, WeightedTotalPastCapIsRejected) {
+  SketchServer server(SmallOptions());
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(
+      ResponseStatus(server.HandleRequest(IngestWeighted({max, max, max}))),
+      Status::kTooLarge);
+  const double cap = std::ldexp(1.0, 500);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(RestoreWeighted({cap, cap}))),
+            Status::kBadState);
+  StatsResponse stats = StatsOf(server);
+  EXPECT_EQ(stats.total_weight, 0.0);
+  EXPECT_EQ(stats.weighted_rows_ingested, 0u);
+
+  // Up to the cap exactly is fine; past it, by ingest or restore, is not.
+  const double half = std::ldexp(1.0, 499);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestWeighted({half}))),
+            Status::kOk);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(RestoreWeighted({half}))),
+            Status::kOk);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestWeighted({1.0}))),
+            Status::kTooLarge);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(RestoreWeighted({1.0}))),
+            Status::kBadState);
+  stats = StatsOf(server);
+  EXPECT_EQ(stats.total_weight, cap);
+  EXPECT_EQ(stats.weighted_rows_ingested, 1u);
+  EXPECT_EQ(stats.restores, 1u);
+  EXPECT_EQ(stats.errors_too_large, 2u);
+
+  QuerySumRequest sum_req;
+  sum_req.scope = QueryScope::kWeighted;
+  const QuerySumResponse sum = OkBody<QuerySumResponse>(
+      server.HandleRequest(EncodeQuerySumRequest(97, sum_req)),
+      DecodeQuerySumResponse);
+  EXPECT_EQ(sum.estimate, cap);
+  EXPECT_TRUE(std::isfinite(sum.variance));
+  EXPECT_GE(sum.variance, 0.0);
+  QueryTopKRequest topk_req;
+  topk_req.scope = QueryScope::kWeighted;
+  topk_req.k = 10;
+  const QueryTopKResponse topk = OkBody<QueryTopKResponse>(
+      server.HandleRequest(EncodeQueryTopKRequest(98, topk_req)),
+      DecodeQueryTopKResponse);
+  ASSERT_EQ(topk.weighted.size(), 2u);
+  for (const WeightedEntry& e : topk.weighted) EXPECT_EQ(e.weight, half);
 }
 
 TEST(ServiceAdversarialTest, HostileFrameLengthPrefixesDropTheConnection) {
