@@ -49,7 +49,7 @@ inline void SetFatalHook(FatalHook hook) {
 /// Like DSKETCH_CHECK but compiled out in NDEBUG builds. Use on hot paths.
 /// -DDSKETCH_FORCE_DCHECK=ON keeps these active even in optimized builds —
 /// the sanitizer CI job uses it so the DCHECK'd contracts (reserved keys,
-/// position validity, BatchGuard) stay enforced under asan+ubsan.
+/// position validity) stay enforced under asan+ubsan.
 #if defined(NDEBUG) && !defined(DSKETCH_FORCE_DCHECK)
 #define DSKETCH_DCHECK(cond) \
   do {                       \
