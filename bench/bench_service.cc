@@ -58,8 +58,7 @@ Spread Repeat(Fn&& fn) {
 
 // The server records per-opcode latency histograms into the global
 // metrics registry; benches read them back as snapshot deltas so the
-// tail percentiles cover exactly the timed loop. All-zero under
-// -DDSKETCH_NO_METRICS (the params record says metrics="off").
+// tail percentiles cover exactly the timed loop.
 obs::HistogramSnapshot LatencySnapshot(const char* opcode) {
   const obs::Histogram* h = obs::MetricsRegistry::Global().FindHistogram(
       std::string("dsketch_service_request_latency_us{opcode=\"") + opcode +

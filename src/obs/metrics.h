@@ -6,10 +6,14 @@
 // Cost model — safe to call from ingest workers and the serve loop:
 //
 //   * Counter/Gauge/Histogram updates are single relaxed atomic RMWs
-//     (2-3 for a histogram record). No locks, no allocation, no fences.
+//     (3 for a histogram record). No locks, no allocation, no fences.
+//     Recording is always compiled in: the service's trace-overhead
+//     measurement puts the whole telemetry layer at about 1% of a
+//     request (bench_service `trace_overhead`).
 //   * Registration (MetricsRegistry::Get*) takes a mutex and may
 //     allocate; callers cache the returned reference (function-local
-//     static or a stored pointer) so the hot path never re-registers.
+//     static, a stored pointer, or ScopedSpan's per-thread site cache in
+//     obs/trace.h) so the hot path never re-registers.
 //   * Snapshot/DumpText take the registry mutex only to walk the name
 //     table; metric reads are relaxed loads, so a snapshot taken under
 //     concurrent traffic is per-value atomic but not a consistent cut
@@ -24,23 +28,18 @@
 // emits one `# TYPE` line per family and scope filters select by family
 // prefix (`dsketch_service_`, `dsketch_window_`, ...). Units ride the
 // name suffix by convention: `_total` monotone counts, `_bytes_total`
-// byte counts, `_us` microsecond histograms.
+// byte counts, `_us` microsecond histograms. Durations come from spans
+// (obs/trace.h): each span feeds `dsketch_<layer>_<name>_us`.
 //
 // Registering the same name twice with the same kind returns the same
 // instance (so independent call sites may share a series); re-using a
 // name with a different kind is a programmer error and CHECK-fails.
-//
-// -DDSKETCH_NO_METRICS=ON compiles every recording call to a no-op (the
-// registry and exposition stay; all series read zero) for deployments
-// that want the instrumented code paths byte-free. MetricsBuildMode()
-// reports which build this is ("on"/"off") and travels in bench params.
 
 #ifndef DSKETCH_OBS_METRICS_H_
 #define DSKETCH_OBS_METRICS_H_
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -56,25 +55,14 @@ namespace obs {
 /// Series kinds a registry name can hold (part of the text exposition).
 enum class MetricKind : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 
-/// "on" when this build records metrics, "off" under DSKETCH_NO_METRICS.
-inline constexpr const char* MetricsBuildMode() {
-#ifdef DSKETCH_NO_METRICS
-  return "off";
-#else
-  return "on";
-#endif
-}
+/// Always "on": every build records metrics. Kept because bench headers
+/// and the `dsketch_util_build_info{metrics=...}` gauge still print it.
+inline constexpr const char* MetricsBuildMode() { return "on"; }
 
 /// Monotone event count. Relaxed-atomic; safe from any thread.
 class Counter {
  public:
-  void Inc(uint64_t n = 1) {
-#ifndef DSKETCH_NO_METRICS
-    value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
-  }
+  void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
 
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
@@ -86,33 +74,19 @@ class Counter {
 /// marks via RaiseTo). Relaxed-atomic; safe from any thread.
 class Gauge {
  public:
-  void Set(int64_t v) {
-#ifndef DSKETCH_NO_METRICS
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
 
   void Add(int64_t delta) {
-#ifndef DSKETCH_NO_METRICS
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   /// Monotone max: raises the gauge to `v` if `v` is larger (high-water
   /// marks under concurrent writers).
   void RaiseTo(int64_t v) {
-#ifndef DSKETCH_NO_METRICS
     int64_t cur = value_.load(std::memory_order_relaxed);
     while (v > cur &&
            !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
 
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
@@ -163,14 +137,10 @@ class Histogram {
   static constexpr size_t kNumBuckets = HistogramSnapshot::kNumBuckets;
 
   void Record(uint64_t value) {
-#ifndef DSKETCH_NO_METRICS
     buckets_[HistogramSnapshot::BucketIndex(value)].fetch_add(
         1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
@@ -182,32 +152,6 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
-};
-
-/// Records the enclosed span's wall time (steady clock, µs) into a
-/// histogram on destruction:
-///
-///   obs::ScopedTimer timer(SnapshotMergeHistogram());
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& hist)
-      : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() { hist_->Record(ElapsedUs()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Microseconds elapsed since construction.
-  uint64_t ElapsedUs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// One read-side value from a registry walk.

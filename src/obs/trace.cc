@@ -3,10 +3,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include <unistd.h>
 
+#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace dsketch {
@@ -309,9 +312,14 @@ std::vector<TraceRecord> TraceCollector::Recent() const {
 
 // --- thread-local trace context ---------------------------------------
 
-#ifndef DSKETCH_NO_METRICS
-
 namespace {
+
+// A span call site's histogram, found by its name literal and layer.
+struct SiteHistogram {
+  const char* name;
+  TraceLayer layer;
+  Histogram* hist;
+};
 
 struct ThreadTraceState {
   bool active = false;   // a root trace is open on this thread
@@ -327,11 +335,31 @@ struct ThreadTraceState {
   uint64_t pending_trace_id = 0;
   uint32_t pending_root_id = 0;
   std::vector<Span> pending_spans;
+
+  // Span histograms this thread resolved; a handful of call sites, so a
+  // linear scan beats hashing.
+  std::vector<SiteHistogram> histograms;
 };
 
 ThreadTraceState& State() {
   static thread_local ThreadTraceState state;
   return state;
+}
+
+// `dsketch_<layer>_<name>_us`, without repeating a `<layer>_` prefix
+// the name already has. Registers on a site's first span on this thread.
+Histogram& SpanHistogram(ThreadTraceState& st, const char* name,
+                         TraceLayer layer) {
+  for (const SiteHistogram& site : st.histograms) {
+    if (site.name == name && site.layer == layer) return *site.hist;
+  }
+  const std::string prefix = std::string(TraceLayerName(layer)) + "_";
+  std::string_view rest = name;
+  if (rest.rfind(prefix, 0) == 0) rest.remove_prefix(prefix.size());
+  Histogram& hist = MetricsRegistry::Global().GetHistogram(
+      "dsketch_" + prefix + std::string(rest) + "_us");
+  st.histograms.push_back({name, layer, &hist});
+  return hist;
 }
 
 void AddAnnotation(Span* span, const char* key, uint64_t value) {
@@ -367,6 +395,7 @@ ScopedTrace::ScopedTrace(const char* name, TraceLayer layer) {
   // plain child span context rather than corrupting the open trace.
   if (st.active) {
     root_.name = nullptr;
+    root_.start_us = TraceNowUs();
     return;
   }
   st.active = true;
@@ -399,25 +428,27 @@ void ScopedTrace::Annotate(const char* key, uint64_t value) {
   AddAnnotation(&root_, key, value);
 }
 
-ScopedTrace::~ScopedTrace() {
-  if (root_.name == nullptr) return;
+uint64_t ScopedTrace::Close() {
+  if (!open_) return root_.end_us - root_.start_us;
+  open_ = false;
+  root_.end_us = TraceNowUs();
+  const uint64_t latency_us = root_.end_us - root_.start_us;
+  if (root_.name == nullptr) return latency_us;
   ThreadTraceState& st = State();
   root_.trace_id = st.trace_id;
-  root_.end_us = TraceNowUs();
   FlightRecorder::Global().Record(root_);
   st.active = false;
   st.depth = 0;
-  if (!st.capture) return;
+  if (!st.capture) return latency_us;
   st.capture = false;
   TraceCollector& collector = TraceCollector::Global();
   const TraceConfig config = collector.config();
-  const uint64_t latency_us = root_.end_us - root_.start_us;
   const bool nth = collector.NextSampleTick();
   const bool slow = config.slow_request_us > 0 &&
                     latency_us >= static_cast<uint64_t>(config.slow_request_us);
   if (!nth && !slow) {
     st.buffer.clear();
-    return;
+    return latency_us;
   }
   if (st.buffer.size() < kMaxSpansPerTrace) st.buffer.push_back(root_);
   st.pending_valid = true;
@@ -425,44 +456,40 @@ ScopedTrace::~ScopedTrace() {
   st.pending_root_id = root_.span_id;
   st.pending_spans = std::move(st.buffer);
   st.buffer.clear();
+  return latency_us;
 }
 
 ScopedSpan::ScopedSpan(const char* name, TraceLayer layer) {
   ThreadTraceState& st = State();
+  hist_ = &SpanHistogram(st, name, layer);
+  span_.name = name;
+  span_.layer = layer;
   if (st.active) {
     mode_ = Mode::kActive;
-    span_.name = name;
-    span_.layer = layer;
     span_.span_id = st.next_span_id++;
     span_.parent_id = st.depth > 0 ? st.parent_stack[st.depth - 1] : 0;
     if (st.depth < kMaxDepth) st.parent_stack[st.depth++] = span_.span_id;
-    span_.start_us = TraceNowUs();
-    return;
-  }
-  if (st.pending_valid) {
+  } else if (st.pending_valid) {
     // Post-trace span (e.g. the serve loop's response write): joins the
     // staged trace as a direct child of its root.
     mode_ = Mode::kPending;
-    span_.name = name;
-    span_.layer = layer;
     span_.trace_id = st.pending_trace_id;
     span_.span_id = st.next_span_id++;
     span_.parent_id = st.pending_root_id;
-    span_.start_us = TraceNowUs();
-    return;
   }
-  mode_ = Mode::kInert;
+  span_.start_us = TraceNowUs();
 }
 
 void ScopedSpan::Annotate(const char* key, uint64_t value) {
-  if (mode_ == Mode::kInert) return;
+  if (mode_ == Mode::kUntraced) return;
   AddAnnotation(&span_, key, value);
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (mode_ == Mode::kInert) return;
-  ThreadTraceState& st = State();
   span_.end_us = TraceNowUs();
+  hist_->Record(span_.end_us - span_.start_us);
+  if (mode_ == Mode::kUntraced) return;
+  ThreadTraceState& st = State();
   if (mode_ == Mode::kActive) {
     span_.trace_id = st.trace_id;
     // Pop only our own frame: overflowed spans past kMaxDepth never
@@ -484,8 +511,6 @@ ScopedSpan::~ScopedSpan() {
     st.pending_spans.push_back(span_);
   }
 }
-
-#endif  // DSKETCH_NO_METRICS
 
 // --- exporters --------------------------------------------------------
 

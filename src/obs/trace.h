@@ -20,13 +20,21 @@
 //     (Perfetto / chrome://tracing loadable) or a compact text dump via
 //     the TRACE opcode and `dsketchd --trace-file`.
 //
-// Cost model: an inert ScopedSpan (no open trace) is one thread-local
-// load and a branch. Under an open trace a span close is ~a dozen
-// release stores (plain moves on x86) into the flight recorder plus,
-// when sampling is on, one bounded vector append.
-// -DDSKETCH_NO_METRICS=ON compiles ScopedTrace/ScopedSpan to empty
-// structs, so all span recording disappears from the instrumented code
-// paths entirely.
+// Spans are also the service's one clock. Every ScopedSpan, traced or
+// not, records its duration into the histogram
+// `dsketch_<layer>_<name>_us` (the `<layer>_` prefix is not repeated when
+// the name already starts with it: "shard_drain" in kShard feeds
+// `dsketch_shard_drain_us`), and the root ScopedTrace hands its duration
+// to the server as the request latency. Only the flight recorder and
+// sampled capture need an open trace.
+//
+// Cost model: a span reads the steady clock twice and records three
+// relaxed atomic adds into its histogram. Each thread resolves a call
+// site's histogram once (keyed by the name literal's address), so the
+// registry mutex is taken only on a site's first span on a thread.
+// Under an open trace a span close adds ~a dozen release stores (plain
+// moves on x86) into the flight recorder plus, when sampling is on, one
+// bounded vector append.
 //
 // Threading: trace context is thread_local (one request pipeline per
 // serving thread — SketchServer's model). The flight recorder accepts
@@ -54,6 +62,8 @@
 
 namespace dsketch {
 namespace obs {
+
+class Histogram;
 
 /// Which layer of the serving stack a span measures (exported as the
 /// Chrome trace-event category).
@@ -226,20 +236,20 @@ class TraceCollector {
   std::deque<TraceRecord> recent_;
 };
 
-#ifndef DSKETCH_NO_METRICS
-
 /// Root span of one request. Opening marks the thread's trace context
 /// active (nested ScopedSpans attach underneath); closing records the
 /// root to the flight recorder and — when sampling kept the request —
 /// stages the full span tree for publication. The staged trace is
 /// published by the next FlushPendingTrace() (or the next ScopedTrace
 /// on this thread), which lets the serve loop attach the response-write
-/// span after HandleRequest returned.
+/// span after HandleRequest returned. A root opened while another is
+/// open on the thread (a nested HandleRequest) records nothing but still
+/// times itself.
 class ScopedTrace {
  public:
   explicit ScopedTrace(const char* name,
                        TraceLayer layer = TraceLayer::kService);
-  ~ScopedTrace();
+  ~ScopedTrace() { Close(); }
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
 
@@ -252,14 +262,22 @@ class ScopedTrace {
   /// dropped). `key` must be a string literal.
   void Annotate(const char* key, uint64_t value);
 
+  /// Ends the root span and returns its duration in µs, the number tail
+  /// sampling judged. Later calls (and the destructor) return the same
+  /// duration without recording again.
+  uint64_t Close();
+
  private:
   Span root_;
+  bool open_ = true;
 };
 
-/// One timed child span. Inert (a thread-local load and a branch) when
-/// no trace is open on this thread. After the thread's root trace
-/// closed but before FlushPendingTrace(), a new span still attaches to
-/// the pending trace as a child of its root — how the serve loop's
+/// One timed child span; on close it records its duration into its
+/// `dsketch_<layer>_<name>_us` histogram. `name` must be a string
+/// literal: its address keys the thread's histogram cache. With no trace
+/// open on this thread nothing else is recorded. After the thread's root
+/// trace closed but before FlushPendingTrace(), a new span still attaches
+/// to the pending trace as a child of its root — how the serve loop's
 /// response-write span joins the request that produced it.
 class ScopedSpan {
  public:
@@ -273,33 +291,15 @@ class ScopedSpan {
   void Annotate(const char* key, uint64_t value);
 
  private:
-  enum class Mode : uint8_t { kInert, kActive, kPending };
-  Mode mode_ = Mode::kInert;
+  enum class Mode : uint8_t { kUntraced, kActive, kPending };
+  Mode mode_ = Mode::kUntraced;
+  Histogram* hist_;
   Span span_;
 };
 
 /// Publishes the thread's staged trace (if any) to
 /// TraceCollector::Global(). Safe to call when nothing is pending.
 void FlushPendingTrace();
-
-#else  // DSKETCH_NO_METRICS
-
-class ScopedTrace {
- public:
-  explicit ScopedTrace(const char*, TraceLayer = TraceLayer::kService) {}
-  void SetTraceId(uint64_t) {}
-  void Annotate(const char*, uint64_t) {}
-};
-
-class ScopedSpan {
- public:
-  ScopedSpan(const char*, TraceLayer) {}
-  void Annotate(const char*, uint64_t) {}
-};
-
-inline void FlushPendingTrace() {}
-
-#endif  // DSKETCH_NO_METRICS
 
 // --- exporters --------------------------------------------------------
 

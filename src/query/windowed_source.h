@@ -166,7 +166,6 @@ class WindowedSketchSource final : public SketchSource {
   /// a full re-merge of the fleet.
   const WindowedSpaceSaving& MergedRing() {
     if (!dirty_ && merged_.has_value()) return *merged_;
-    obs::ScopedTimer merge_timer(shard_metrics::SnapshotMergeUs());
     // Parts() flushes, nesting its shard_drain span under this one.
     obs::ScopedSpan span("snapshot_merge", obs::TraceLayer::kShard);
     span.Annotate("shards", sharded_->num_shards());
@@ -199,9 +198,12 @@ class WindowedSketchSource final : public SketchSource {
   /// local rows on the next view). A peer that is ahead advances the
   /// producer epoch to its newest epoch — otherwise rows ingested after
   /// the restore would be stamped with the stale clock and fall outside
-  /// the merged window. False on malformed bytes.
-  bool RestoreSnapshot(std::string_view bytes) {
-    if (!sharded_->IngestSerialized(bytes)) return false;
+  /// the merged window. False, leaving the state untouched, on malformed
+  /// bytes and on a decoded ring that `admit(const WindowedSpaceSaving&)`
+  /// refuses.
+  template <typename Admit>
+  bool RestoreSnapshot(std::string_view bytes, Admit admit) {
+    if (!sharded_->IngestSerialized(bytes, admit)) return false;
     MarkDirty();
     final_below_ = 0;  // a new part: the next refresh re-merges every epoch
     // Peeked off the slot headers, not read from a merged view — a
@@ -210,6 +212,11 @@ class WindowedSketchSource final : public SketchSource {
     std::optional<uint64_t> newest = PeekWindowedNewestEpoch(bytes);
     if (newest.has_value() && *newest > epoch_) epoch_ = *newest;
     return true;
+  }
+
+  bool RestoreSnapshot(std::string_view bytes) {
+    return RestoreSnapshot(bytes,
+                           [](const WindowedSpaceSaving&) { return true; });
   }
 
   /// Producer-side open epoch.

@@ -1,6 +1,7 @@
 #include "service/scope.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/frequent_items.h"
@@ -203,12 +204,17 @@ class WindowScope : public Scope {
         engine_(&source_, &TableOrEmpty(attrs)) {}
 
   Status Ingest(const IngestBatchRequest& req) override {
+    // Checked before the epoch advances: a refused batch changes nothing.
+    if (req.items.size() > static_cast<uint64_t>(INT64_MAX - total_)) {
+      return Status::kTooLarge;
+    }
     std::vector<EpochRow> rows;
     rows.reserve(req.items.size());
     for (uint64_t item : req.items) rows.push_back({item, req.epoch});
     source_.Advance(req.epoch);  // an empty batch still advances the ring
     source_.IngestEpoch(Span<const EpochRow>(rows.data(), rows.size()));
     rows_ += rows.size();
+    total_ += static_cast<int64_t>(rows.size());
     return Status::kOk;
   }
   Status Sum(const QuerySumRequest& req, const Predicate& where,
@@ -230,7 +236,20 @@ class WindowScope : public Scope {
     return Status::kOk;
   }
   Status Restore(std::string_view blob, uint64_t* num_absorbed) override {
-    if (!source_.RestoreSnapshot(blob)) return Status::kBadState;
+    // Sums the slots' own totals: the header's total_rows does not bound
+    // them, and two slots of 2^62 rows already pass INT64_MAX.
+    int64_t absorbed = 0;
+    if (!source_.RestoreSnapshot(blob, [&](const WindowedSpaceSaving& ring) {
+          for (const auto& slot : ring.slots()) {
+            const int64_t rows = slot.sketch.TotalCount();
+            if (rows > INT64_MAX - total_ - absorbed) return false;
+            absorbed += rows;
+          }
+          return true;
+        })) {
+      return Status::kBadState;
+    }
+    total_ += absorbed;
     *num_absorbed = source_.sharded().num_absorbed();
     return Status::kOk;
   }
@@ -256,6 +275,9 @@ class WindowScope : public Scope {
   WindowedSketchSource source_;
   SketchQueryEngine engine_;
   uint64_t rows_ = 0;
+  // Rows ingested plus every absorbed ring's slot totals, <= INT64_MAX:
+  // no epoch merge or window view can sum past it.
+  int64_t total_ = 0;
 };
 
 // A replica's image: zero-decode reads, totals off the image header, and

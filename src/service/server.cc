@@ -191,7 +191,6 @@ std::string SketchServer::HandleRequest(std::string_view request) {
   // Root span, declared first so every child span closes before it; the
   // serve loop's response_write joins via the pending-trace hand-off.
   obs::ScopedTrace trace("request");
-  const auto start = std::chrono::steady_clock::now();
   wire::VarintReader reader(request);
   RequestHeader header;
   std::string response;
@@ -213,10 +212,9 @@ std::string SketchServer::HandleRequest(std::string_view request) {
     Metrics().errors[static_cast<size_t>(status)]->Inc();
     response = EncodeErrorResponse(header.opcode, header.request_id, status);
   }
-  const uint64_t latency_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  // The root span's duration is the request latency: the histogram, the
+  // slow-request check and tail sampling all read this one number.
+  const uint64_t latency_us = trace.Close();
   const size_t op_index = OpcodeIndex(header.opcode);
   Metrics().requests[op_index]->Inc();
   Metrics().latency_us[op_index]->Record(latency_us);

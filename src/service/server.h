@@ -35,7 +35,9 @@
 //   weighted  total weight (weights ingested plus absorbed totals)
 //             <= kMaxWeightedTotal = 2^500 (service/scope.h), so merges
 //             and eq. 5's MinWeight()^2 * C_S stay finite;
-//   window    no total cap.
+//   window    total count (rows ingested plus the slot totals of every
+//             absorbed ring) <= INT64_MAX, so no epoch merge or window
+//             view sums past it.
 // Restored weighted masses (the weighted scope, a window ring's decayed
 // accumulator) must be finite, and so must their per-blob total.
 //

@@ -80,12 +80,6 @@ inline obs::Gauge& QueueDepthHighwater(size_t shard_index) {
       std::to_string(shard_index) + "\"}");
 }
 
-inline obs::Histogram& SnapshotMergeUs() {
-  static obs::Histogram& hist = obs::MetricsRegistry::Global().GetHistogram(
-      "dsketch_shard_snapshot_merge_us");
-  return hist;
-}
-
 }  // namespace shard_metrics
 
 /// Unbiased merge of a fleet's parts: MergeAll (core/merge.h), one final
@@ -251,7 +245,6 @@ class ShardedSketch {
   /// deterministic given the ingested stream and seeds, and equal byte
   /// for byte to MergeAll over Parts().
   S Snapshot(size_t capacity, uint64_t seed = 1) {
-    obs::ScopedTimer merge_timer(shard_metrics::SnapshotMergeUs());
     // Parts() flushes, nesting its shard_drain span under this one.
     obs::ScopedSpan span("snapshot_merge", obs::TraceLayer::kShard);
     span.Annotate("shards", shards_.size());

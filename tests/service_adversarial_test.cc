@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -796,6 +798,94 @@ TEST(ServiceAdversarialTest, WeightedTotalPastCapIsRejected) {
       DecodeQueryTopKResponse);
   ASSERT_EQ(topk.weighted.size(), 2u);
   for (const WeightedEntry& e : topk.weighted) EXPECT_EQ(e.weight, half);
+}
+
+// A kind-7 ring for SmallOptions' window scope whose slot at epoch e
+// holds two bins summing to slot_rows[e] rows. The header claims no rows:
+// only the slots' own totals bound what a merge sums.
+std::string RestoreRing(const std::vector<int64_t>& slot_rows) {
+  WindowedSketchOptions opts = SmallOptions().window;
+  opts.merged_capacity = SmallOptions().merged_capacity;
+  std::deque<WindowedSpaceSaving::EpochSlot> slots;
+  for (size_t e = 0; e < slot_rows.size(); ++e) {
+    UnbiasedSpaceSaving sketch(opts.epoch_capacity, 1 + e);
+    const int64_t half = slot_rows[e] / 2;
+    sketch.core().LoadEntries({{2 * e + 1, half},
+                               {2 * e + 2, slot_rows[e] - half}});
+    slots.emplace_back(e, std::move(sketch));
+  }
+  WindowedSpaceSaving ring(opts);
+  ring.LoadState(std::move(slots), std::nullopt, 0, 0);
+  RestoreRequest req;
+  req.scope = QueryScope::kWindow;
+  req.blob = SerializeWindowed(ring);
+  return EncodeRestoreRequest(99, req);
+}
+
+std::string IngestWindowRows(size_t n, uint64_t epoch) {
+  IngestBatchRequest req;
+  req.items.assign(n, 17);
+  req.windowed = true;
+  req.epoch = epoch;
+  return EncodeIngestBatchRequest(100, req);
+}
+
+QuerySumResponse WindowSum(SketchServer& server) {
+  QuerySumRequest req;
+  req.scope = QueryScope::kWindow;
+  return OkBody<QuerySumResponse>(
+      server.HandleRequest(EncodeQuerySumRequest(101, req)),
+      DecodeQuerySumResponse);
+}
+
+// The window total stays within int64. Two restores of a ring whose one
+// slot holds 2^62 rows both used to answer kOk, and a window SUM then
+// answered -9.22e18 with variance 0.
+TEST(ServiceAdversarialTest, WindowTotalPastInt64MaxIsRejected) {
+  const int64_t quarter = int64_t{1} << 62;
+  {
+    SketchServer server(SmallOptions());
+    const std::string restore = RestoreRing({quarter});
+    EXPECT_EQ(ResponseStatus(server.HandleRequest(restore)), Status::kOk);
+    EXPECT_EQ(ResponseStatus(server.HandleRequest(restore)),
+              Status::kBadState);
+    EXPECT_EQ(StatsOf(server).restores, 1u);
+    const QuerySumResponse sum = WindowSum(server);
+    EXPECT_EQ(sum.estimate, std::ldexp(1.0, 62));
+    EXPECT_GE(sum.variance, 0.0);
+  }
+  {
+    // One blob whose two slots sum past INT64_MAX is refused whole.
+    SketchServer server(SmallOptions());
+    EXPECT_EQ(ResponseStatus(server.HandleRequest(
+                  RestoreRing({quarter, quarter}))),
+              Status::kBadState);
+    EXPECT_EQ(WindowSum(server).estimate, 0.0);
+  }
+  // An INGEST past INT64_MAX is refused before its epoch advances the
+  // ring; up to INT64_MAX exactly is fine.
+  SketchServer server(SmallOptions());
+  ASSERT_EQ(ResponseStatus(server.HandleRequest(
+                RestoreRing({quarter, quarter - 4}))),
+            Status::kOk);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestWindowRows(4, 5))),
+            Status::kTooLarge);
+  StatsResponse stats = StatsOf(server);
+  EXPECT_EQ(stats.windowed_rows_ingested, 0u);
+  EXPECT_EQ(stats.window_epoch, 1u);
+
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestWindowRows(3, 1))),
+            Status::kOk);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(IngestWindowRows(1, 1))),
+            Status::kTooLarge);
+  EXPECT_EQ(ResponseStatus(server.HandleRequest(RestoreRing({1}))),
+            Status::kBadState);
+  stats = StatsOf(server);
+  EXPECT_EQ(stats.windowed_rows_ingested, 3u);
+  EXPECT_EQ(stats.errors_too_large, 2u);
+  const QuerySumResponse sum = WindowSum(server);
+  EXPECT_EQ(sum.estimate, static_cast<double>(INT64_MAX));
+  EXPECT_GE(sum.variance, 0.0);
 }
 
 TEST(ServiceAdversarialTest, HostileFrameLengthPrefixesDropTheConnection) {

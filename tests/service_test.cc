@@ -24,6 +24,7 @@
 
 #include "core/serialization.h"
 #include "core/unbiased_space_saving.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/attribute_table.h"
 #include "query/frozen_source.h"
@@ -735,6 +736,33 @@ TEST_F(ServiceSessionTest, MetricsOpcodeServesScopedExposition) {
             std::string::npos);
 }
 
+// Every span feeds its layer's histogram with no trace sampled: one
+// INGEST and one filtered SUM decode two frames, reduce one query and
+// encode two responses.
+TEST_F(ServiceSessionTest, RequestSpansFeedTheirLayerHistograms) {
+  Boot(&attrs_);
+  auto count = [](const char* name) {
+    return obs::MetricsRegistry::Global().GetHistogram(name).Count();
+  };
+  const uint64_t decode0 = count("dsketch_wire_frame_decode_us");
+  const uint64_t reduce0 = count("dsketch_query_reduce_us");
+  const uint64_t encode0 = count("dsketch_wire_encode_us");
+  ASSERT_TRUE(client_->IngestBatch(std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  ASSERT_TRUE(client_->QuerySum(PredicateSpec().WhereEq(0, 3)).has_value());
+  EXPECT_EQ(count("dsketch_wire_frame_decode_us"), decode0 + 2);
+  EXPECT_EQ(count("dsketch_query_reduce_us"), reduce0 + 1);
+  EXPECT_EQ(count("dsketch_wire_encode_us"), encode0 + 2);
+
+  // The METRICS exposition carries the same series.
+  auto text = client_->Metrics();
+  ASSERT_TRUE(text.has_value());
+  for (const char* series :
+       {"dsketch_wire_frame_decode_us_count", "dsketch_query_reduce_us_count",
+        "dsketch_wire_encode_us_count"}) {
+    EXPECT_NE(text->find(series), std::string::npos) << series;
+  }
+}
+
 TEST_F(ServiceSessionTest, TraceOpcodeServesRecentAndFlightScopes) {
   // The fixture boots with sampling off; configure the global collector
   // directly (what a server built with trace_sample > 0 does) and
@@ -750,7 +778,6 @@ TEST_F(ServiceSessionTest, TraceOpcodeServesRecentAndFlightScopes) {
   EXPECT_NE(recent->find("traceEvents"), std::string::npos);
   auto flight = client_->Trace(TraceScope::kFlight);
   ASSERT_TRUE(flight.has_value());
-#ifndef DSKETCH_NO_METRICS
   // The sampled QUERY_SUM span tree is visible through the opcode, and
   // the always-on recorder carries the request roots.
   EXPECT_NE(recent->find("\"request\""), std::string::npos);
@@ -759,7 +786,6 @@ TEST_F(ServiceSessionTest, TraceOpcodeServesRecentAndFlightScopes) {
   auto stats = client_->Stats();
   ASSERT_TRUE(stats.has_value());
   EXPECT_GT(stats->traces_captured_total, 0u);
-#endif
   obs::TraceCollector::Global().Configure(obs::TraceConfig{});
 }
 

@@ -216,9 +216,12 @@ TEST(ShardedSketchTest, AbsorbedSnapshotMergesWithLocalRows) {
       static_cast<int64_t>(2 * rows_a.size() + rows_b.size());
 
   // TotalCount flushes and reads the same exact total without merging.
-  const uint64_t merges = shard_metrics::SnapshotMergeUs().Count();
+  const obs::Histogram& merge_us =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "dsketch_shard_snapshot_merge_us");
+  const uint64_t merges = merge_us.Count();
   EXPECT_EQ(fleet_b.TotalCount(), expected);
-  EXPECT_EQ(shard_metrics::SnapshotMergeUs().Count(), merges);
+  EXPECT_EQ(merge_us.Count(), merges);
 
   UnbiasedSpaceSaving merged = fleet_b.Snapshot(1024, 5);
   EXPECT_EQ(merged.TotalCount(), expected);

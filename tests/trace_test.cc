@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace dsketch {
@@ -134,8 +135,6 @@ TEST(FlightRecorderTest, ConcurrentProducersNeverTearASlot) {
   EXPECT_EQ(recorder.dropped(), kThreads * kPerThread - 64);
 }
 
-#ifndef DSKETCH_NO_METRICS
-
 // Sampling state is process-global; every test sets its own policy and
 // turns sampling back off on exit.
 class ScopedTraceTest : public ::testing::Test {
@@ -230,6 +229,50 @@ TEST_F(ScopedTraceTest, ReentrantRootDegradesToNothing) {
   EXPECT_STREQ(recent.back().spans[0].name, "request");
 }
 
+// Each span feeds `dsketch_<layer>_<name>_us`, traced or not.
+TEST_F(ScopedTraceTest, SpanRecordsOneSampleIntoItsLayerSeries) {
+  Histogram& hist = MetricsRegistry::Global().GetHistogram(
+      "dsketch_query_histogram_probe_us");
+  const uint64_t before = hist.Count();
+  { ScopedSpan span("histogram_probe", TraceLayer::kQuery); }
+  EXPECT_EQ(hist.Count(), before + 1);
+  {
+    ScopedTrace trace("request");
+    ScopedSpan span("histogram_probe", TraceLayer::kQuery);
+  }
+  EXPECT_EQ(hist.Count(), before + 2);
+  // A post-trace span (pending hand-off) records too.
+  TraceCollector::Global().Configure({/*sample_every=*/1,
+                                      /*slow_request_us=*/0});
+  { ScopedTrace trace("request"); }
+  { ScopedSpan span("histogram_probe", TraceLayer::kQuery); }
+  EXPECT_EQ(hist.Count(), before + 3);
+}
+
+TEST_F(ScopedTraceTest, SpanNameKeepsItsLayerPrefixOnce) {
+  { ScopedSpan span("shard_prefix_probe", TraceLayer::kShard); }
+  const Histogram* once = MetricsRegistry::Global().FindHistogram(
+      "dsketch_shard_prefix_probe_us");
+  ASSERT_NE(once, nullptr);
+  EXPECT_EQ(once->Count(), 1u);
+  EXPECT_EQ(MetricsRegistry::Global().FindHistogram(
+                "dsketch_shard_shard_prefix_probe_us"),
+            nullptr);
+}
+
+TEST_F(ScopedTraceTest, CloseReturnsTheRootDurationOnce) {
+  ScopedTrace trace("request");
+  ScopedTrace nested("inner_request");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // A re-entrant root records nothing but still times itself.
+  const uint64_t nested_us = nested.Close();
+  EXPECT_GE(nested_us, 2000u);
+  const uint64_t root_us = trace.Close();
+  EXPECT_GE(root_us, nested_us);
+  EXPECT_EQ(trace.Close(), root_us);
+  EXPECT_EQ(nested.Close(), nested_us);
+}
+
 TEST_F(ScopedTraceTest, EveryNthSamplingKeepsExactlyTheNth) {
   TraceCollector::Global().Configure({/*sample_every=*/2,
                                       /*slow_request_us=*/0});
@@ -291,8 +334,6 @@ TEST_F(ScopedTraceTest, AnnotationsCapAtSpanLimit) {
   EXPECT_EQ(root.annotations[Span::kMaxAnnotations - 1].value,
             Span::kMaxAnnotations - 1);
 }
-
-#endif  // DSKETCH_NO_METRICS
 
 TEST(TraceExportTest, ChromeJsonMatchesGolden) {
   TraceRecord record;

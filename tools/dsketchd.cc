@@ -379,9 +379,7 @@ int RunSmoke(SketchServerOptions options) {
   // Tracing hop. The first windowed query hit a dirty ring, so its
   // sampled span tree must cover every layer: frame decode → shard
   // drain → window merge → query reduction → wire encode, all under
-  // one "request" root. (Spans compile to no-ops under
-  // -DDSKETCH_NO_METRICS; the structural checks are gated with them.)
-#ifndef DSKETCH_NO_METRICS
+  // one "request" root.
   {
     bool tree_found = false;
     for (const obs::TraceRecord& rec :
@@ -408,7 +406,6 @@ int RunSmoke(SketchServerOptions options) {
       return fail("sampled trace covers service/shard/window/wire layers");
     }
   }
-#endif
   // TRACE opcode: recent scope is Chrome trace-event JSON, flight scope
   // the always-on recorder's text dump.
   auto trace_json = client_a.Trace();
@@ -418,14 +415,12 @@ int RunSmoke(SketchServerOptions options) {
   }
   auto flight = client_a.Trace(TraceScope::kFlight);
   if (!flight.has_value()) return fail("TRACE flight");
-#ifndef DSKETCH_NO_METRICS
   if (trace_json->find("window_merge") == std::string::npos) {
     return fail("TRACE recent carries the window_merge span");
   }
   if (flight->find("request") == std::string::npos) {
     return fail("TRACE flight carries request spans");
   }
-#endif
 
   auto ring = client_a.Snapshot(QueryScope::kWindow);
   if (!ring.has_value() || ring->empty()) return fail("windowed SNAPSHOT");
@@ -449,11 +444,9 @@ int RunSmoke(SketchServerOptions options) {
       stats_a->window_epoch != kEpochs - 1) {
     return fail("windowed STATS");
   }
-#ifndef DSKETCH_NO_METRICS
   if (stats_a->traces_captured_total == 0) {
     return fail("STATS traces_captured_total after sampled requests");
   }
-#endif
 
   // METRICS hop: the exposition must show the smoke's own traffic.
   // First stir the window merge cache deliberately: last_k=2 decomposes
@@ -479,13 +472,8 @@ int RunSmoke(SketchServerOptions options) {
           static_cast<double>(2 * kRowsPerEpoch + open_rows.size())) {
     return fail("windowed QUERY_SUM last_k=2 after open-epoch ingest");
   }
-  // The exposition's content (like the trace checks above) only exists
-  // when the build records metrics; the opcode itself must answer kOk
-  // either way.
   auto metrics = client_a.Metrics();
-  if (!metrics.has_value()) return fail("METRICS");
-#ifndef DSKETCH_NO_METRICS
-  if (metrics->empty()) return fail("METRICS");
+  if (!metrics.has_value() || metrics->empty()) return fail("METRICS");
   const std::string requests = "dsketch_service_requests_total";
   if (MetricFromText(*metrics, requests + "{opcode=\"ingest_batch\"}") <= 0 ||
       MetricFromText(*metrics, requests + "{opcode=\"query_sum\"}") <= 0 ||
@@ -496,6 +484,14 @@ int RunSmoke(SketchServerOptions options) {
                      "dsketch_service_request_latency_us_count"
                      "{opcode=\"query_sum\"}") <= 0) {
     return fail("METRICS nonzero query latency histogram");
+  }
+  // Span histograms: the windowed queries above merged the fleet and
+  // assembled window views, and every response went out through the
+  // serve loop's write span.
+  if (MetricFromText(*metrics, "dsketch_shard_snapshot_merge_us_count") <= 0 ||
+      MetricFromText(*metrics, "dsketch_window_merge_us_count") <= 0 ||
+      MetricFromText(*metrics, "dsketch_wire_response_write_us_count") <= 0) {
+    return fail("METRICS nonzero span histograms");
   }
   if (MetricFromText(*metrics, "dsketch_window_node_cache_hits_total") <= 0 ||
       MetricFromText(*metrics, "dsketch_window_node_cache_misses_total") <= 0 ||
@@ -516,7 +512,6 @@ int RunSmoke(SketchServerOptions options) {
       scoped->find("dsketch_window_") == std::string::npos) {
     return fail("METRICS window scope filter");
   }
-#endif  // DSKETCH_NO_METRICS
 
   // Frozen-replica hop: A emits the frozen mmap-able image, the image
   // goes to disk, a replica node mmaps the file and answers with zero
